@@ -10,8 +10,8 @@ scenario) scaled down to CI size, on both execution engines, and fails when
   the same operators in the same order, so even the float accumulation order
   must match).
 
-``benchmarks/results/engine_columnar.txt`` records the measured table; the
-full-size sweep numbers live in ``benchmarks/results/engine_speedup.txt``.
+The measured table is committed as ``BENCH_engine_columnar.json`` at the repo
+root (and printed to the git-ignored ``benchmarks/results/engine_columnar.txt``).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ The >1.5x speedup assertion is gated on the machine actually having ≥4
 usable cores: CPython threads cannot speed up pure-Python sweeps beyond the
 GIL and process pools cannot beat serial on a single core, so on smaller
 machines (CI containers are often 1-2 cores) the benchmark records the
-measured table in ``benchmarks/results/engine_parallel.txt`` with the core
+measured table in ``BENCH_engine_parallel.json`` (repo root) with the core
 count and skips only the speedup gate — never the correctness gates.  The
 gate takes the best configuration over best-of-``ROUNDS`` timings; on a
 known-noisy shared runner it can be disabled explicitly with

@@ -6,7 +6,9 @@ method.  The assertions double as the CI regression gate: on the Figure 11(e)
 products sweep the optimized run must never execute more source operators or
 scan more rows than the unoptimized run, and answers must stay identical.
 
-The measured speedups are written to ``benchmarks/results/optimizer_speedup.txt``.
+The measured sweeps are committed as ``BENCH_optimizer_fig11d.json`` and
+``BENCH_optimizer_fig11e.json`` at the repo root; a text summary of the
+speedups goes to the git-ignored ``benchmarks/results/optimizer_speedup.txt``.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ def test_optimizer_fig11e_products(benchmark, report_writer):
 
 
 def test_optimizer_speedup_report(report_writer):
-    """Combined speedup summary committed under benchmarks/results/."""
+    """Combined speedup summary (text, under the git-ignored benchmarks/results/)."""
     selections = _selection_series()
     products = _product_series()
     lines = [

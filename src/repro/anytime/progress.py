@@ -1,44 +1,22 @@
-"""The anytime progress model: interval answers over a priority frontier.
+"""The anytime progress model: interval answers over a partially driven u-trace.
 
-The o-sharing evaluator (Algorithm 2) explores the u-trace depth-first and
-only has an answer once the whole tree is settled.  The top-k evaluator
-(Algorithm 4) already shows the tree can be expanded *partially* while every
-answer tuple carries sound probability bounds.  This module generalizes that
-observation into a reusable progress model:
+The top-k evaluator (Algorithm 4) already shows the u-trace can be expanded
+*partially* while every answer tuple carries sound probability bounds.  The
+anytime evaluator generalizes that: it drives the shared u-trace core
+(:mod:`repro.core.utrace` — frontier, contribution log, replay keys) under a
+budget, and this module turns whatever has settled into
 
-* a **frontier** of pending partition groups, popped in decreasing
-  probability mass (``heapq`` on ``(-mass, seq)`` — ``seq`` is a
-  deterministic insertion counter, so ties break first-in-first-out and the
-  schedule is replayable);
-* a **contribution log** — every settled e-unit records either its answer
-  tuples or its empty mass, tagged with a *replay key* that encodes where in
-  o-sharing's depth-first traversal the same contribution would have landed;
 * **interval answers** — at any checkpoint, each discovered tuple ``t`` has
   ``lb(t)`` = mass already confirmed and ``ub(t) = lb(t) + U`` where ``U``
   (the *unexplored mass*) is the total mass still sitting on the frontier.
   ``lb ≤ Pr(t) ≤ ub`` holds throughout and both bounds tighten monotonically
-  as the frontier drains.
-
-Replay keys are what make the headline invariant cheap to state: when the
-frontier drains completely, replaying the contribution log in key order
-performs *exactly* the sequence of ``add_tuples``/``add_empty`` calls
-o-sharing's recursion performs — same floats, same accumulation order, same
-tuple insertion order — so an unbudgeted anytime result is byte-identical to
-the exact o-sharing result, not merely tolerance-equal.
-
-The key scheme: a unit explored under prefix ``k`` that expands into
-partition groups ``0..g-1`` gives group ``i`` the *empty key*
-``k + ((0, i),)`` (used when the group's reformulation is unmatched — in
-o-sharing those ``add_empty`` calls happen during the expand loop, before
-any child recursion) and the *child prefix* ``k + ((1, i),)`` (all of the
-child subtree's events follow the expand loop, in group order).  A settled
-unit contributes under its own prefix.  Lexicographic tuple order over these
-keys is exactly o-sharing's depth-first event order.
+  as the frontier drains;
+* an :class:`AnytimeResult` carrying them, with a :meth:`~AnytimeResult.resume`
+  handle backed by an :class:`AnytimeContinuation` (the saved trace).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -48,16 +26,9 @@ from repro.relational.stats import ExecutionStats
 
 __all__ = [
     "IntervalAnswer",
-    "FrontierTask",
-    "ProgressState",
     "AnytimeResult",
     "AnytimeContinuation",
 ]
-
-#: Replay keys are tuples of (lane, index) pairs; the lanes order a unit's
-#: expand-time empty contributions (lane 0) before its child subtrees (lane 1).
-_EMPTY_LANE = 0
-_CHILD_LANE = 1
 
 
 @dataclass(frozen=True)
@@ -80,148 +51,18 @@ class IntervalAnswer:
         return self.ub - self.lb
 
 
-@dataclass
-class FrontierTask:
-    """One pending partition group: the unit of anytime scheduling.
-
-    Processing the task reformulates the group's representative mapping for
-    the parent unit's chosen operator, executes the source plan once for the
-    whole group (the o-sharing saving), and either settles as an unmatched
-    empty contribution or spawns the child e-unit and schedules it.
-    """
-
-    parent_key: tuple
-    index: int
-    unit: Any  # the parent EUnit
-    choice: Any  # the OperatorChoice the group belongs to
-    group: tuple
-    mass: float
-
-    @property
-    def empty_key(self) -> tuple:
-        """Replay key when the group's reformulation is unmatched."""
-        return self.parent_key + ((_EMPTY_LANE, self.index),)
-
-    @property
-    def child_key(self) -> tuple:
-        """Replay prefix of the spawned child's subtree."""
-        return self.parent_key + ((_CHILD_LANE, self.index),)
-
-
-class ProgressState:
-    """Contribution log + priority frontier of one anytime evaluation.
-
-    The state survives between drives: a budget-stopped drive leaves the
-    frontier intact and a later :meth:`AnytimeResult.resume` keeps draining
-    it, so no operator execution is ever repeated across checkpoints.
-    """
-
-    def __init__(self) -> None:
-        #: (replay_key, answer_tuples | None, probability) triples
-        self._contributions: list[tuple[tuple, list | None, float]] = []
-        self._frontier: list[tuple[float, int, FrontierTask]] = []
-        self._seq = 0
-        #: trace counters already folded into ExecutionStats (delta recording
-        #: across resume steps; see AnytimeEvaluator._finalize)
-        self.trace_recorded: dict[str, int] = {}
-
-    # ------------------------------------------------------------------ #
-    # frontier
-    # ------------------------------------------------------------------ #
-    def push(self, parent_key: tuple, index: int, unit, choice, group) -> None:
-        """Schedule one partition group (priority: decreasing mass, FIFO ties)."""
-        mass = sum(mapping.probability for mapping in group)
-        task = FrontierTask(
-            parent_key=parent_key,
-            index=index,
-            unit=unit,
-            choice=choice,
-            group=tuple(group),
-            mass=mass,
-        )
-        heapq.heappush(self._frontier, (-mass, self._seq, task))
-        self._seq += 1
-
-    def peek(self) -> FrontierTask | None:
-        """The highest-mass pending task (``None`` when drained)."""
-        if not self._frontier:
-            return None
-        return self._frontier[0][2]
-
-    def pop(self) -> FrontierTask:
-        """Remove and return the highest-mass pending task."""
-        return heapq.heappop(self._frontier)[2]
-
-    @property
-    def exhausted(self) -> bool:
-        """True once the frontier is drained (the result is exact)."""
-        return not self._frontier
-
-    @property
-    def pending_tasks(self) -> int:
-        """Number of partition groups still on the frontier."""
-        return len(self._frontier)
-
-    def unexplored_mass(self) -> float:
-        """Total probability mass still on the frontier.
-
-        Summed in insertion (``seq``) order, not heap order, so the float is
-        identical for identical schedules — budgeted results stay
-        deterministic and replayable.
-        """
-        return sum(
-            entry[2].mass for entry in sorted(self._frontier, key=lambda e: e[1])
-        )
-
-    # ------------------------------------------------------------------ #
-    # contributions
-    # ------------------------------------------------------------------ #
-    def contribute_tuples(self, key: tuple, tuples: Iterable, probability: float) -> None:
-        """Record a settled unit's answer tuples (shared group mass)."""
-        self._contributions.append((key, list(tuples), probability))
-
-    def contribute_empty(self, key: tuple, probability: float) -> None:
-        """Record mass whose source query produced no tuple."""
-        self._contributions.append((key, None, probability))
-
-    def replay(self) -> ProbabilisticAnswer:
-        """The contribution log folded in o-sharing's depth-first order.
-
-        Sorting by replay key reproduces the exact sequence of
-        ``add_tuples``/``add_empty`` calls the o-sharing recursion performs,
-        so when the frontier is drained the result is byte-identical to the
-        exact evaluator — and a partial (budgeted) answer is the exact
-        answer's prefix restricted to settled mass, with the same
-        deterministic accumulation order.
-        """
-        answers = ProbabilisticAnswer()
-        for _key, tuples, probability in sorted(
-            self._contributions, key=lambda entry: entry[0]
-        ):
-            if tuples is None:
-                answers.add_empty(probability)
-            else:
-                answers.add_tuples(tuples, probability)
-        return answers
-
-    def intervals(
-        self, answers: ProbabilisticAnswer, unexplored: float
-    ) -> tuple[IntervalAnswer, ...]:
-        """Ranked interval answers (decreasing ``lb``, canonical tie-break)."""
-        ranked = sorted(
-            (
-                IntervalAnswer(values=values, lb=lb, ub=lb + unexplored)
-                for values, lb in answers.items()
-            ),
-            key=lambda interval: (-interval.lb, _sort_key(interval.values)),
-        )
-        return tuple(ranked)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ProgressState(contributions={len(self._contributions)}, "
-            f"pending={len(self._frontier)})"
-        )
+def interval_answers(
+    answers: ProbabilisticAnswer, unexplored: float
+) -> tuple[IntervalAnswer, ...]:
+    """Ranked interval answers (decreasing ``lb``, canonical tie-break)."""
+    ranked = sorted(
+        (
+            IntervalAnswer(values=values, lb=lb, ub=lb + unexplored)
+            for values, lb in answers.items()
+        ),
+        key=lambda interval: (-interval.lb, _sort_key(interval.values)),
+    )
+    return tuple(ranked)
 
 
 def ranking_converged(
@@ -292,11 +133,12 @@ class AnytimeResult(EvaluationResult):
 class AnytimeContinuation:
     """The saved frontier of one anytime evaluation, resumable in-session.
 
-    Holds everything a later drive needs — the progress state, the u-trace
-    bookkeeping, the cumulative statistics — plus a snapshot of the
-    database's relation version tokens: the frontier's materialized
-    intermediates embed source data, so resuming after *any* write would
-    silently mix old and new data.  Staleness is therefore a hard error.
+    Holds everything a later drive needs — the partially driven
+    :class:`~repro.core.utrace.UTrace`, the cumulative statistics — plus a
+    snapshot of the database's relation version tokens: the frontier's
+    materialized intermediates embed source data, so resuming after *any*
+    write would silently mix old and new data.  Staleness is therefore a
+    hard error.
 
     ``observer`` (optional) is called with ``(step_stats, result)`` after
     every resumed drive; a :class:`~repro.session.Session` installs one so
@@ -304,16 +146,13 @@ class AnytimeContinuation:
     once.
     """
 
-    def __init__(self, evaluator, query, database, state: ProgressState, trace):
+    def __init__(self, evaluator, database, trace, representative_mappings: int):
         self.evaluator = evaluator
-        self.query = query
         self.database = database
-        self.state = state
         self.trace = trace
         #: cumulative ExecutionStats across the initial drive and all resumes
         self.totals = ExecutionStats()
-        #: set by the evaluator at evaluate() time; survives every resume
-        self.representative_mappings = 0
+        self.representative_mappings = representative_mappings
         self.versions = self._versions()
         self.observer: Callable[[ExecutionStats, "AnytimeResult"], None] | None = None
 
@@ -358,6 +197,6 @@ class AnytimeContinuation:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"AnytimeContinuation(query={self.query.name!r}, "
-            f"pending={self.state.pending_tasks})"
+            f"AnytimeContinuation(query={self.trace.query.name!r}, "
+            f"pending={self.trace.pending_tasks})"
         )

@@ -7,7 +7,9 @@ The package is organised around the concepts of the paper:
 * :mod:`repro.core.links` / :mod:`repro.core.reformulation` — target-to-source
   query and operator reformulation (Section VI-B).
 * :mod:`repro.core.partition_tree` — mapping partitioning (Algorithm 3).
-* :mod:`repro.core.eunit` — e-units and the u-trace (Section V).
+* :mod:`repro.core.eunit` — e-units and candidate operators (Section V).
+* :mod:`repro.core.utrace` — the one u-trace walker o-sharing, top-k and
+  anytime schedule.
 * :mod:`repro.core.operator_selection` — Random / SNF / SEF (Section VI-A).
 * :mod:`repro.core.metrics` — mapping-overlap metrics (Section VIII-B.1).
 * :mod:`repro.core.evaluators` — basic, e-basic, e-MQO, q-sharing, o-sharing

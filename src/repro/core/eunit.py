@@ -10,10 +10,10 @@ An *e-unit* captures the state of a partially executed target query:
   executed next.
 
 The *u-trace* is the tree of e-units produced while o-sharing interleaves
-query rewriting with operator execution.  The evaluator explores it
-depth-first via recursion; the :class:`UTrace` object tracks bookkeeping the
-benchmarks report (how many e-units were created, how many were pruned by the
-empty-relation shortcut).
+query rewriting with operator execution.  An e-unit knows its position in
+that tree (``path``: the partition-group index taken at every level), which
+is all a schedule, a replay key or a per-unit random draw may depend on;
+:mod:`repro.core.utrace` holds the one loop that grows the tree.
 
 This module also hosts the *candidate operator* enumeration: which operators
 of an e-unit's plan may be chosen as ``next_op`` (the "correctness" criterion
@@ -23,8 +23,7 @@ below other selections so it can run directly against a leaf.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.core.target_query import TargetQuery
@@ -40,8 +39,6 @@ from repro.relational.algebra import (
     Select,
     Union,
 )
-
-_EUNIT_IDS = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -71,9 +68,15 @@ class EUnit:
 
     plan: PlanNode
     mappings: list[Mapping]
-    unit_id: int = field(default_factory=lambda: next(_EUNIT_IDS))
-    depth: int = 0
+    #: position in the u-trace: the index of the partition group taken at
+    #: each level below the root (the root's path is empty)
+    path: tuple[int, ...] = ()
     next_op: CandidateOperator | None = None
+
+    @property
+    def depth(self) -> int:
+        """Number of operators executed on the way to this e-unit."""
+        return len(self.path)
 
     @property
     def probability(self) -> float:
@@ -106,56 +109,14 @@ class EUnit:
             isinstance(node, Materialized) and node.is_empty for node in self.plan.walk()
         )
 
-    def spawn(self, plan: PlanNode, mappings: Sequence[Mapping]) -> "EUnit":
-        """Create a child e-unit (one level deeper in the u-trace)."""
-        return EUnit(plan=plan, mappings=list(mappings), depth=self.depth + 1)
+    def spawn(self, plan: PlanNode, mappings: Sequence[Mapping], index: int) -> "EUnit":
+        """The child e-unit reached through partition group ``index``."""
+        return EUnit(plan=plan, mappings=list(mappings), path=self.path + (index,))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"EUnit(id={self.unit_id}, depth={self.depth}, "
-            f"mappings={len(self.mappings)}, p={self.probability:.3f})"
-        )
-
-
-class UTrace:
-    """Bookkeeping for the tree of e-units explored by o-sharing."""
-
-    def __init__(self, root: EUnit):
-        self.root = root
-        self.units_created = 1
-        self.units_pruned_empty = 0
-        self.units_answered = 0
-        self.mappings_evaluated = len(root.mappings)
-        self.max_depth = 0
-
-    def created(self, unit: EUnit) -> None:
-        """Record the creation of a child e-unit."""
-        self.units_created += 1
-        self.mappings_evaluated += len(unit.mappings)
-        self.max_depth = max(self.max_depth, unit.depth)
-
-    def pruned(self, unit: EUnit) -> None:
-        """Record an e-unit discarded through the empty-relation shortcut."""
-        self.units_pruned_empty += 1
-
-    def answered(self, unit: EUnit) -> None:
-        """Record an e-unit that contributed answer tuples."""
-        self.units_answered += 1
-
-    def snapshot(self) -> dict:
-        """Counters for the benchmark reporting layer."""
-        return {
-            "units_created": self.units_created,
-            "units_pruned_empty": self.units_pruned_empty,
-            "units_answered": self.units_answered,
-            "mappings_evaluated": self.mappings_evaluated,
-            "max_depth": self.max_depth,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"UTrace(created={self.units_created}, pruned={self.units_pruned_empty}, "
-            f"answered={self.units_answered}, max_depth={self.max_depth})"
+            f"EUnit(path={self.path}, mappings={len(self.mappings)}, "
+            f"p={self.probability:.3f})"
         )
 
 

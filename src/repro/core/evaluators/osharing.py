@@ -10,36 +10,26 @@ is the *u-trace*.
 The operator to execute next is chosen by a pluggable selection strategy
 (Random / SNF / SEF, Section VI-A); the chosen operator is reformulated with
 the rules of Section VI-B and executed, and its result replaces it in the
-plan of the child e-units.
+plan of the child e-units.  All of that is :mod:`repro.core.utrace`; this
+evaluator is the schedule that runs it to the end.
 """
 
 from __future__ import annotations
 
-from repro.core.answer import ProbabilisticAnswer
-from repro.core.evaluators.base import (
-    PHASE_AGGREGATION,
-    PHASE_EVALUATION,
-    PHASE_REWRITING,
-    EvaluationResult,
-    Evaluator,
-)
-from repro.core.eunit import CandidateOperator, EUnit, UTrace, apply_execution, candidate_operators
+from repro.core.evaluators.base import PHASE_AGGREGATION, EvaluationResult, Evaluator
 from repro.core.links import SchemaLinks
-from repro.core.operator_selection import SelectionStrategy, make_strategy, partition_for
-from repro.core.partition_tree import partition, represent
-from repro.core.reformulation import (
-    UnmatchedAttributeError,
-    build_scan_plan,
-    extract_answers,
-    reformulate_operator,
-)
+from repro.core.operator_selection import SelectionStrategy, make_strategy
 from repro.core.target_query import TargetQuery
-from repro.matching.mappings import Mapping, MappingSet
-from repro.relational.algebra import Materialized, Scan
+from repro.core.utrace import GroupTask, UTrace, root_unit
+from repro.matching.mappings import MappingSet
 from repro.relational.database import Database
-from repro.relational.executor import DEFAULT_ENGINE, Executor
-from repro.relational.relation import Relation
+from repro.relational.executor import DEFAULT_ENGINE
 from repro.relational.stats import ExecutionStats
+
+
+def trace_order(task: GroupTask) -> tuple:
+    """Algorithm 2's order: every group of a unit, then its children's subtrees in turn."""
+    return (task.unit.path, task.index)
 
 
 class OSharingEvaluator(Evaluator):
@@ -66,7 +56,6 @@ class OSharingEvaluator(Evaluator):
         #: is only useful for the ablation benchmark.
         self.prune_empty = prune_empty
 
-    # ------------------------------------------------------------------ #
     def evaluate(
         self,
         query: TargetQuery,
@@ -75,143 +64,19 @@ class OSharingEvaluator(Evaluator):
     ) -> EvaluationResult:
         stats = ExecutionStats()
         executor = self._executor(database, stats)
-        answers = ProbabilisticAnswer()
-
-        # Steps 1-3 of Algorithm 2: partition, represent, initialise the u-trace.
-        with stats.phase(PHASE_REWRITING):
-            partitions = partition(query.partition_keys, mappings)
-            stats.count_partitions(len(partitions))
-            representatives = represent(partitions)
-        root = EUnit(plan=query.plan, mappings=representatives)
-        trace = UTrace(root)
-
-        # Step 4: recursive evaluation of the u-trace.
-        self._run_qt(root, query, executor, answers, stats, trace)
-
-        stats.count_eunits(
-            created=trace.units_created,
-            pruned=trace.units_pruned_empty,
-            mappings=trace.mappings_evaluated,
+        root = root_unit(query, mappings, stats)
+        trace = UTrace(
+            query, self.links, self.strategy, trace_order, prune_empty=self.prune_empty
         )
+        trace.visit(root, stats)
+        trace.drive(executor, stats)
+        with stats.phase(PHASE_AGGREGATION):
+            answers = trace.replay()
         return self._result(
             query,
             answers,
             stats,
             strategy=self.strategy.name,
-            representative_mappings=len(representatives),
-            **trace.snapshot(),
+            representative_mappings=len(root.mappings),
+            **trace.details(stats),
         )
-
-    # ------------------------------------------------------------------ #
-    def _run_qt(
-        self,
-        unit: EUnit,
-        query: TargetQuery,
-        executor: Executor,
-        answers: ProbabilisticAnswer,
-        stats: ExecutionStats,
-        trace: UTrace,
-    ) -> None:
-        """The recursive ``run_qt`` routine of Algorithm 2."""
-        # Case 1: the plan is a single relation — emit its tuples as answers.
-        if unit.is_fully_evaluated:
-            with stats.phase(PHASE_AGGREGATION):
-                self._emit(unit, query, answers, trace)
-            return
-
-        # Case 2: an intermediate relation is empty — the answer is empty for
-        # every mapping of the unit.
-        if self.prune_empty and unit.has_empty_intermediate():
-            with stats.phase(PHASE_AGGREGATION):
-                answers.add_empty(unit.probability)
-            trace.pruned(unit)
-            return
-
-        # Case 3: pick the next operator, execute it once per mapping
-        # partition and recurse into the child e-units.
-        for child in self._expand(unit, query, executor, answers, stats, trace):
-            self._run_qt(child, query, executor, answers, stats, trace)
-
-    def _expand(
-        self,
-        unit: EUnit,
-        query: TargetQuery,
-        executor: Executor,
-        answers: ProbabilisticAnswer,
-        stats: ExecutionStats,
-        trace: UTrace,
-    ) -> list[EUnit]:
-        """Execute the chosen next operator and build the child e-units."""
-        children: list[EUnit] = []
-        with stats.phase(PHASE_REWRITING):
-            choice = self._choose(unit, query)
-            stats.count_partitions(choice.partition_count)
-        unit.next_op = choice.candidate
-
-        for group in choice.partitions:
-            representative = group[0]
-            with stats.phase(PHASE_REWRITING):
-                try:
-                    source_plan = self._reformulate(query, representative, choice)
-                except UnmatchedAttributeError:
-                    source_plan = None
-                stats.count_reformulation()
-            if source_plan is None:
-                with stats.phase(PHASE_AGGREGATION):
-                    answers.add_empty(sum(mapping.probability for mapping in group))
-                continue
-            with stats.phase(PHASE_EVALUATION):
-                result = executor.execute(source_plan)
-            child_plan = self._next_plan(unit, query, choice, result)
-            child = unit.spawn(child_plan, group)
-            trace.created(child)
-            children.append(child)
-        return children
-
-    # ------------------------------------------------------------------ #
-    def _choose(self, unit: EUnit, query: TargetQuery):
-        candidates = candidate_operators(unit.plan, query)
-        if candidates:
-            return self.strategy.choose(unit, candidates, query)
-        # Degenerate plan: a bare target scan with no operators left.  Treat
-        # the scan itself as the "operator" so that evaluation can finish.
-        if isinstance(unit.plan, Scan):
-            return partition_for(query, CandidateOperator(operator=unit.plan), unit.mappings)
-        raise RuntimeError(
-            f"no executable operator found in plan {unit.plan.canonical()!r}"
-        )
-
-    def _reformulate(self, query: TargetQuery, mapping: Mapping, choice):
-        operator = choice.candidate.operator
-        if isinstance(operator, Scan):
-            return build_scan_plan(query, mapping, operator.label, self.links)
-        return reformulate_operator(
-            query,
-            mapping,
-            operator,
-            self.links,
-            pushdown_leaf=choice.candidate.pushdown_leaf,
-        )
-
-    def _next_plan(self, unit: EUnit, query: TargetQuery, choice, result: Relation):
-        materialized = Materialized(result, label=f"u{unit.unit_id}")
-        if isinstance(choice.candidate.operator, Scan):
-            return unit.plan.replace(choice.candidate.operator, materialized)
-        return apply_execution(unit.plan, choice.candidate, materialized)
-
-    def _emit(
-        self,
-        unit: EUnit,
-        query: TargetQuery,
-        answers: ProbabilisticAnswer,
-        trace: UTrace,
-    ) -> None:
-        """Case 1: turn a fully evaluated e-unit into probabilistic answers."""
-        relation = unit.result.relation
-        tuples = extract_answers(query, unit.mappings[0], relation)
-        if tuples:
-            answers.add_tuples(tuples, unit.probability)
-            trace.answered(unit)
-        else:
-            answers.add_empty(unit.probability)
-            trace.pruned(unit)

@@ -14,9 +14,11 @@ As soon as every tuple ranked below ``k`` has ``ub <= LB`` and ``UB <= LB``,
 the remaining e-units cannot change the top-k answer set and the traversal
 stops (the paper's Table II walk-through).
 
-Partitions are visited in decreasing order of probability mass, which makes
-the bounds tighten as fast as possible; the paper leaves the visiting order
-unspecified.
+Partitions are visited depth-first, in decreasing order of probability mass,
+which makes the bounds tighten as fast as possible; the paper leaves the
+visiting order unspecified.  The traversal itself is
+:mod:`repro.core.utrace`; this module is its depth-first schedule, the
+``decide_result`` sink and the "top-k is final" stop rule.
 """
 
 from __future__ import annotations
@@ -24,29 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.answer import ProbabilisticAnswer, _sort_key
-from repro.core.evaluators.base import (
-    PHASE_AGGREGATION,
-    PHASE_EVALUATION,
-    PHASE_REWRITING,
-    EvaluationResult,
-    Evaluator,
-)
-from repro.core.eunit import CandidateOperator, EUnit, UTrace, apply_execution, candidate_operators
+from repro.core.evaluators.base import EvaluationResult, Evaluator
 from repro.core.links import SchemaLinks
-from repro.core.operator_selection import SelectionStrategy, make_strategy, partition_for
-from repro.core.partition_tree import partition, represent
-from repro.core.reformulation import (
-    UnmatchedAttributeError,
-    build_scan_plan,
-    extract_answers,
-    reformulate_operator,
-)
+from repro.core.operator_selection import SelectionStrategy, make_strategy
 from repro.core.target_query import TargetQuery
-from repro.matching.mappings import Mapping, MappingSet
-from repro.relational.algebra import Materialized, Scan
+from repro.core.utrace import GroupTask, UTrace, root_unit
+from repro.matching.mappings import MappingSet
 from repro.relational.database import Database
-from repro.relational.executor import DEFAULT_ENGINE, Executor
-from repro.relational.relation import Relation
+from repro.relational.executor import DEFAULT_ENGINE
 from repro.relational.stats import ExecutionStats
 
 
@@ -57,6 +44,11 @@ class BoundedTuple:
     values: tuple
     lb: float
     ub: float
+
+
+def depth_first(task: GroupTask) -> tuple:
+    """Finish a child's subtree before its next sibling; heaviest sibling first."""
+    return (-task.unit.depth, -task.mass)
 
 
 class TopKEvaluator(Evaluator):
@@ -83,7 +75,6 @@ class TopKEvaluator(Evaluator):
         self.k = k
         self.strategy = make_strategy(strategy, seed) if isinstance(strategy, str) else strategy
 
-    # ------------------------------------------------------------------ #
     def evaluate(
         self,
         query: TargetQuery,
@@ -92,123 +83,32 @@ class TopKEvaluator(Evaluator):
     ) -> EvaluationResult:
         stats = ExecutionStats()
         executor = self._executor(database, stats)
-
-        with stats.phase(PHASE_REWRITING):
-            partitions = partition(query.partition_keys, mappings)
-            stats.count_partitions(len(partitions))
-            representatives = represent(partitions)
-        root = EUnit(plan=query.plan, mappings=representatives)
-        trace = UTrace(root)
-
-        state = _TopKState(k=self.k, ub=sum(m.probability for m in representatives))
-        stopped_early = self._run_qt_topk(root, query, executor, stats, trace, state)
+        root = root_unit(query, mappings, stats)
+        state = _TopKState(k=self.k, ub=root.probability)
+        trace = UTrace(
+            query,
+            self.links,
+            self.strategy,
+            depth_first,
+            sink=lambda _key, tuples, probability: state.decide(probability, tuples or []),
+        )
+        trace.visit(root, stats)
+        trace.drive(executor, stats, stop=lambda _task: state.final)
 
         answers = ProbabilisticAnswer()
         for entry in state.top_k():
             answers.add(entry.values, entry.lb)
-
-        stats.count_eunits(
-            created=trace.units_created,
-            pruned=trace.units_pruned_empty,
-            mappings=trace.mappings_evaluated,
-        )
         return self._result(
             query,
             answers,
             stats,
             strategy=self.strategy.name,
             k=self.k,
-            stopped_early=stopped_early,
+            stopped_early=state.final,
             candidate_tuples=len(state.entries),
-            representative_mappings=len(representatives),
-            **trace.snapshot(),
+            representative_mappings=len(root.mappings),
+            **trace.details(stats),
         )
-
-    # ------------------------------------------------------------------ #
-    def _run_qt_topk(
-        self,
-        unit: EUnit,
-        query: TargetQuery,
-        executor: Executor,
-        stats: ExecutionStats,
-        trace: UTrace,
-        state: "_TopKState",
-    ) -> bool:
-        """The recursive ``run_qt_topk`` routine; True means the top-k set is final."""
-        # Case 1: the plan is a single relation.
-        if unit.is_fully_evaluated:
-            with stats.phase(PHASE_AGGREGATION):
-                tuples = extract_answers(query, unit.mappings[0], unit.result.relation)
-                done = state.decide(unit.probability, tuples)
-            trace.answered(unit)
-            return done
-
-        # Case 2: an intermediate relation is empty — no tuple from this unit.
-        if unit.has_empty_intermediate():
-            with stats.phase(PHASE_AGGREGATION):
-                done = state.decide(unit.probability, [])
-            trace.pruned(unit)
-            return done
-
-        # Case 3: execute the next operator partition by partition, recursing
-        # into each child; stop as soon as the top-k set is final.
-        with stats.phase(PHASE_REWRITING):
-            choice = self._choose(unit, query)
-            stats.count_partitions(choice.partition_count)
-        unit.next_op = choice.candidate
-
-        groups = sorted(
-            choice.partitions,
-            key=lambda group: -sum(mapping.probability for mapping in group),
-        )
-        for group in groups:
-            representative = group[0]
-            with stats.phase(PHASE_REWRITING):
-                try:
-                    source_plan = self._reformulate(query, representative, choice)
-                except UnmatchedAttributeError:
-                    source_plan = None
-                stats.count_reformulation()
-            if source_plan is None:
-                probability = sum(mapping.probability for mapping in group)
-                with stats.phase(PHASE_AGGREGATION):
-                    if state.decide(probability, []):
-                        return True
-                continue
-            with stats.phase(PHASE_EVALUATION):
-                result = executor.execute(source_plan)
-            child = unit.spawn(self._next_plan(unit, choice, result), group)
-            trace.created(child)
-            if self._run_qt_topk(child, query, executor, stats, trace, state):
-                return True
-        return False
-
-    # ------------------------------------------------------------------ #
-    def _choose(self, unit: EUnit, query: TargetQuery):
-        candidates = candidate_operators(unit.plan, query)
-        if candidates:
-            return self.strategy.choose(unit, candidates, query)
-        if isinstance(unit.plan, Scan):
-            return partition_for(query, CandidateOperator(operator=unit.plan), unit.mappings)
-        raise RuntimeError(f"no executable operator found in plan {unit.plan.canonical()!r}")
-
-    def _reformulate(self, query: TargetQuery, mapping: Mapping, choice):
-        operator = choice.candidate.operator
-        if isinstance(operator, Scan):
-            return build_scan_plan(query, mapping, operator.label, self.links)
-        return reformulate_operator(
-            query,
-            mapping,
-            operator,
-            self.links,
-            pushdown_leaf=choice.candidate.pushdown_leaf,
-        )
-
-    def _next_plan(self, unit: EUnit, choice, result: Relation):
-        materialized = Materialized(result, label=f"u{unit.unit_id}")
-        if isinstance(choice.candidate.operator, Scan):
-            return unit.plan.replace(choice.candidate.operator, materialized)
-        return apply_execution(unit.plan, choice.candidate, materialized)
 
 
 class _TopKState:
@@ -219,6 +119,8 @@ class _TopKState:
         self.LB = 0.0
         self.UB = ub
         self.entries: dict[tuple, BoundedTuple] = {}
+        #: True once no unprocessed mass can change the top-k set (the stop rule)
+        self.final = False
 
     # -- the decide_result routine --------------------------------------- #
     def decide(self, probability: float, tuples: list[tuple]) -> bool:
@@ -235,7 +137,8 @@ class _TopKState:
             self.LB = ranked[self.k - 1].lb
         else:
             self.LB = 0.0
-        return self._finished(ranked)
+        self.final = self._finished(ranked)
+        return self.final
 
     def _finished(self, ranked: list[BoundedTuple]) -> bool:
         if self.UB > self.LB + 1e-12:

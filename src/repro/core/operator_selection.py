@@ -154,12 +154,17 @@ class SelectionStrategy(Protocol):
 
 
 class RandomStrategy:
-    """Pick a valid operator uniformly at random (seeded for reproducibility)."""
+    """Pick a valid operator uniformly at random (seeded for reproducibility).
+
+    The draw is a pure function of ``(seed, unit.path)``: every e-unit gets
+    its own stream, keyed by its position in the u-trace, so the choice does
+    not depend on the order a schedule happens to visit the units in.
+    """
 
     name = "random"
 
     def __init__(self, seed: int = 0):
-        self._rng = random.Random(seed)
+        self.seed = seed
 
     def choose(
         self,
@@ -167,7 +172,8 @@ class RandomStrategy:
         candidates: Sequence[CandidateOperator],
         query: TargetQuery,
     ) -> OperatorChoice:
-        candidate = self._rng.choice(list(candidates))
+        rng = random.Random(f"{self.seed}:{unit.path}")
+        candidate = rng.choice(list(candidates))
         return partition_for(query, candidate, unit.mappings)
 
 

@@ -64,7 +64,7 @@ class ExecutionStats:
     stats_refreshed_incrementally: int = 0
     #: e-units created in the u-trace (o-sharing/top-k/anytime)
     eunits_created: int = 0
-    #: e-units discarded through the empty-intermediate shortcut
+    #: e-units settled without answer tuples (empty intermediate or result)
     eunits_pruned: int = 0
     #: mappings carried by created e-units (the anytime progress signal)
     mappings_evaluated: int = 0
@@ -122,11 +122,14 @@ class ExecutionStats:
         self.join_orders_considered += join_orders
         self.estimated_rows += estimated_rows
 
-    def count_eunits(self, created: int = 0, pruned: int = 0, mappings: int = 0) -> None:
-        """Record u-trace progress (e-units created/pruned, mappings carried)."""
-        self.eunits_created += created
-        self.eunits_pruned += pruned
+    def count_eunit(self, mappings: int) -> None:
+        """Record one e-unit entering the u-trace with ``mappings`` mappings."""
+        self.eunits_created += 1
         self.mappings_evaluated += mappings
+
+    def count_eunit_pruned(self) -> None:
+        """Record one e-unit settled without answer tuples."""
+        self.eunits_pruned += 1
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:

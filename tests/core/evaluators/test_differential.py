@@ -19,6 +19,12 @@ invariant from three directions at once:
   answers to executing the reformulated plans verbatim (``optimize=False``):
   the optimizer changes how many operators run, never what they produce.
 
+* **schedule equivalence** — o-sharing, unbudgeted anytime, a one-e-unit-at-a-
+  time ``resume()`` chain and exhaustive top-k are four schedules over one
+  u-trace core (``repro.core.utrace``): byte-identical answers and identical
+  work counters for every selection strategy (``random`` included) on every
+  engine, and a budgeted drive settles a prefix of the unbudgeted one.
+
 The sampled space covers all three target schemas, the Table III paper
 queries, generated selection chains and product queries, and varying mapping
 counts.
@@ -31,7 +37,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import evaluate
+from repro.core.answer import PROBABILITY_TOLERANCE
 from repro.core.evaluators import EVALUATORS
+from repro.core.evaluators.anytime import AnytimeEvaluator
+from repro.core.evaluators.osharing import OSharingEvaluator
+from repro.core.evaluators.topk import TopKEvaluator
 from repro.datagen.scenario import MatchingScenario, build_scenario
 from repro.relational.executor import available_engines
 
@@ -40,6 +50,7 @@ from repro.relational.executor import available_engines
 # agree byte-identically.
 ENGINES = available_engines()
 from repro.workloads import paper_query, product_query, selection_query
+from test_anytime import _counters  # the counters "byte-identical" claims cover
 from repro.workloads.queries import queries_for_target
 
 ALL_EVALUATORS = tuple(EVALUATORS)
@@ -141,6 +152,68 @@ def test_all_evaluators_engines_and_optimizer_agree(case):
                 f"[{label}] {method}: {engine}(optimize={optimize}) disagrees "
                 f"on the empty-answer mass"
             )
+
+
+def _work(result) -> dict:
+    """The deterministic work counters plus the u-trace's shape."""
+    work = _counters(result.stats)
+    work["units_answered"] = result.details["units_answered"]
+    work["max_depth"] = result.details["max_depth"]
+    return work
+
+
+def _exact_bytes(result) -> tuple:
+    """Floats, tuple insertion order, empty mass and ranking — nothing rounded."""
+    answers = result.answers
+    return (
+        list(answers.items()),
+        answers.empty_probability,
+        [ranked.values for ranked in answers.ranked()],
+    )
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(case=differential_cases(), seed=st.integers(min_value=0, max_value=7))
+def test_utrace_schedules_agree(case, seed):
+    label, query, scenario = case
+    run = (query, scenario.mappings, scenario.database)
+    for strategy in ("sef", "snf", "random"):
+        for engine in ENGINES:
+            options = dict(links=scenario.links, strategy=strategy, seed=seed, engine=engine)
+            where = f"[{label}] {strategy}(seed={seed})@{engine}"
+            exact = OSharingEvaluator(**options).evaluate(*run)
+            drained = AnytimeEvaluator(**options).evaluate(*run)
+            chained = AnytimeEvaluator(budget={"eunit_limit": 1}, **options).evaluate(*run)
+            while not chained.exhausted:
+                chained = chained.resume(budget={"eunit_limit": 1})
+            # k beyond the number of answers: the k-th bound never forms, so
+            # top-k can only finish by processing all of the mass
+            ranked = TopKEvaluator(k=len(exact.answers) + 1, **options).evaluate(*run)
+
+            assert _exact_bytes(drained) == _exact_bytes(exact), where
+            assert _exact_bytes(chained) == _exact_bytes(exact), where
+            # top-k accumulates in decreasing-mass order: last-bit float
+            # differences from the replay order are legitimate
+            assert set(ranked.answers.tuples) == set(exact.answers.tuples), where
+            for values, probability in exact.answers.items():
+                assert abs(ranked.answers.probability(values) - probability) <= (
+                    PROBABILITY_TOLERANCE
+                ), where
+            for other in (drained, chained, ranked):
+                assert _work(other) == _work(exact), f"{where}: {other.evaluator}"
+
+            # budgeted prefix: half the mappings settle a prefix of what the
+            # unbudgeted best-first drive settles, in the same order
+            half = AnytimeEvaluator(
+                budget={"mapping_limit": exact.stats.mappings_evaluated // 2}, **options
+            ).evaluate(*run)
+            settled = half.continuation.trace.contributions
+            assert settled == drained.continuation.trace.contributions[: len(settled)], where
+            assert half.stats.source_operators <= exact.stats.source_operators, where
 
 
 @pytest.mark.parametrize("method", ALL_EVALUATORS)

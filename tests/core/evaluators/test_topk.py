@@ -171,6 +171,25 @@ class TestTopKAgainstFullRanking:
         assert result.details["units_created"] < exact.details["units_created"]
         assert result.stats.source_operators < exact.stats.source_operators
 
+    @pytest.mark.parametrize("query_id", ["Q1", "Q4"])
+    def test_empty_leaves_count_as_pruned_like_osharing(self, excel_scenario, query_id):
+        # Regression: a fully evaluated e-unit whose result holds no answer
+        # tuple used to count as "answered" here and as "pruned" in o-sharing.
+        # Q1 and Q4 have such units; k beyond the number of answers makes
+        # top-k walk the whole u-trace, so every counter must agree.
+        query = paper_query(query_id, excel_scenario.target_schema)
+        exact = OSharingEvaluator(links=excel_scenario.links).evaluate(
+            query, excel_scenario.mappings, excel_scenario.database
+        )
+        result = TopKEvaluator(
+            k=len(exact.answers) + 1, links=excel_scenario.links
+        ).evaluate(query, excel_scenario.mappings, excel_scenario.database)
+        assert exact.details["units_pruned_empty"] > 0
+        for counter in ("eunits_created", "eunits_pruned", "mappings_evaluated"):
+            assert getattr(result.stats, counter) == getattr(exact.stats, counter), counter
+        for detail in ("units_created", "units_pruned_empty", "units_answered", "max_depth"):
+            assert result.details[detail] == exact.details[detail], detail
+
     @pytest.mark.parametrize("engine", ["row", "columnar"])
     def test_topk_engine_parity(self, excel_scenario, engine):
         # The top-k evaluator is not in the EVALUATORS registry the

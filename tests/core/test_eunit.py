@@ -1,11 +1,10 @@
-"""Unit tests for e-units, the u-trace and candidate-operator enumeration."""
+"""Unit tests for e-units and candidate-operator enumeration."""
 
 import pytest
 
 from repro.core.eunit import (
     CandidateOperator,
     EUnit,
-    UTrace,
     apply_execution,
     candidate_operators,
     is_leaf,
@@ -54,31 +53,13 @@ class TestEUnit:
         unit = EUnit(plan=plan, mappings=[])
         assert not unit.has_empty_intermediate()
 
-    def test_spawn_increments_depth(self, paper_example):
+    def test_spawn_extends_path_and_depth(self, paper_example):
         unit = EUnit(plan=paper_example.q0().plan, mappings=list(paper_example.mappings))
-        child = unit.spawn(materialized(), list(paper_example.mappings)[:1])
-        assert child.depth == unit.depth + 1
-        assert child.unit_id != unit.unit_id
-
-    def test_unit_ids_unique(self):
-        first = EUnit(plan=materialized(), mappings=[])
-        second = EUnit(plan=materialized(), mappings=[])
-        assert first.unit_id != second.unit_id
-
-
-class TestUTrace:
-    def test_counters(self, paper_example):
-        root = EUnit(plan=paper_example.q0().plan, mappings=list(paper_example.mappings))
-        trace = UTrace(root)
-        child = root.spawn(materialized(), [])
-        trace.created(child)
-        trace.answered(child)
-        trace.pruned(child)
-        snapshot = trace.snapshot()
-        assert snapshot["units_created"] == 2
-        assert snapshot["units_answered"] == 1
-        assert snapshot["units_pruned_empty"] == 1
-        assert snapshot["max_depth"] == 1
+        assert (unit.path, unit.depth) == ((), 0)
+        child = unit.spawn(materialized(), list(paper_example.mappings)[:1], index=2)
+        grandchild = child.spawn(materialized(), [], index=0)
+        assert (child.path, child.depth) == ((2,), 1)
+        assert (grandchild.path, grandchild.depth) == ((2, 0), 2)
 
 
 class TestCandidateOperators:
