@@ -8,9 +8,8 @@ III queries and measures the executed source operators saved.
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentSeries, run_method
+from repro.bench.harness import ExperimentSeries, cold_query, run_method
 from repro.bench.reporting import render_experiment
-from repro.core import evaluate
 from repro.datagen.scenario import build_scenario
 from repro.workloads.queries import PAPER_QUERIES
 
@@ -57,12 +56,6 @@ def test_ablation_empty_prune(benchmark, report_writer):
     # The pruning is purely an optimisation: answers are identical either way.
     scenario = build_scenario(target="Excel", h=20, scale=0.01, seed=7)
     query = PAPER_QUERIES["Q1"].build(scenario.target_schema)
-    with_prune = evaluate(
-        query, scenario.mappings, scenario.database,
-        method="o-sharing", links=scenario.links, prune_empty=True,
-    )
-    without_prune = evaluate(
-        query, scenario.mappings, scenario.database,
-        method="o-sharing", links=scenario.links, prune_empty=False,
-    )
+    with_prune = cold_query(query, scenario, method="o-sharing", prune_empty=True)
+    without_prune = cold_query(query, scenario, method="o-sharing", prune_empty=False)
     assert with_prune.answers.equals(without_prune.answers)

@@ -1,4 +1,4 @@
-"""Batch serving workload: ``evaluate_many`` vs N independent evaluations.
+"""Batch serving workload: ``query_many`` vs N independent evaluations.
 
 This is the Figure 11(a) scenario pushed to serving scale: a workload of
 target queries (with repetition, as real traffic has) over one mapping set
@@ -12,8 +12,10 @@ independently.
 
 from __future__ import annotations
 
-from repro.core import evaluate, evaluate_many
+from repro.bench.harness import cold_query
 from repro.bench.reporting import format_table
+from repro.relational.parallel import default_manager
+from repro.session import connect
 from repro.workloads.queries import PAPER_QUERIES
 
 #: Each Excel query of Table III, repeated as serving traffic would repeat it.
@@ -27,22 +29,12 @@ def _build_workload(scenario):
 
 
 def _run_independent(queries, scenario):
-    return [
-        evaluate(
-            query,
-            scenario.mappings,
-            scenario.database,
-            method="e-mqo",
-            links=scenario.links,
-        )
-        for query in queries
-    ]
+    return [cold_query(query, scenario, method="e-mqo") for query in queries]
 
 
 def _run_batch(queries, scenario):
-    return evaluate_many(
-        queries, scenario.mappings, scenario.database, links=scenario.links
-    )
+    with connect(scenario, pools=default_manager()) as session:
+        return session.query_many(queries)
 
 
 def test_batch_workload(benchmark, small_excel_bench, report_writer):
@@ -60,7 +52,7 @@ def test_batch_workload(benchmark, small_excel_bench, report_writer):
     rows = [
         ["independent e-mqo", round(independent_seconds, 4), independent_ops, "-"],
         [
-            "evaluate_many",
+            "query_many",
             round(batch.total_seconds, 4),
             batch.source_operators,
             batch.plan_cache["hits"],

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import time
 
+from repro.bench.harness import cold_query
 from repro.bench.reporting import format_table
-from repro.core import evaluate
 from repro.datagen.scenario import build_scenario
 from repro.obs import write_bench_artifact
 from repro.workloads.queries import PAPER_QUERIES
@@ -43,15 +43,7 @@ def _measure(method, engine, query, scenario):
         # the engines is largely optimized away and the comparison drowns in
         # noise at CI scale (the optimizer has its own guard rail in
         # bench_optimizer.py).
-        result = evaluate(
-            query,
-            scenario.mappings,
-            scenario.database,
-            method=method,
-            links=scenario.links,
-            engine=engine,
-            optimize=False,
-        )
+        result = cold_query(query, scenario, method=method, engine=engine, optimize=False)
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
     return best, result
@@ -131,14 +123,7 @@ def test_columnar_engine_beats_row_engine(benchmark, report_writer):
 
     # One pedantic round through pytest-benchmark for the timing artefact.
     benchmark.pedantic(
-        lambda: evaluate(
-            query,
-            scenario.mappings,
-            scenario.database,
-            method="e-basic",
-            links=scenario.links,
-            engine="columnar",
-        ),
+        lambda: cold_query(query, scenario, method="e-basic", engine="columnar"),
         rounds=1,
         iterations=1,
     )

@@ -29,8 +29,8 @@ from __future__ import annotations
 import os
 import time
 
+from repro.bench.harness import cold_query
 from repro.bench.reporting import format_table
-from repro.core import evaluate
 from repro.datagen.scenario import build_scenario
 from repro.obs import write_bench_artifact
 from repro.relational.parallel import ParallelConfig, available_cpus
@@ -46,7 +46,7 @@ WORKERS = max(4, available_cpus())
 REQUIRED_CORES = 4
 TARGET_SPEEDUP = 1.5
 
-#: engine configurations measured, label → evaluate() options
+#: engine configurations measured, label → policy options
 CONFIGS = {
     "columnar": {"engine": "columnar"},
     f"parallel-thread[{WORKERS}]": {
@@ -68,15 +68,7 @@ def _measure(method, options, query, scenario):
     best, result = None, None
     for _ in range(ROUNDS):
         started = time.perf_counter()
-        result = evaluate(
-            query,
-            scenario.mappings,
-            scenario.database,
-            method=method,
-            links=scenario.links,
-            optimize=False,
-            **options,
-        )
+        result = cold_query(query, scenario, method=method, optimize=False, **options)
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
     return best, result
@@ -185,15 +177,12 @@ def test_parallel_engine_speedup(benchmark, report_writer):
 
     # One pedantic round through pytest-benchmark for the timing artefact.
     benchmark.pedantic(
-        lambda: evaluate(
+        lambda: cold_query(
             query,
-            scenario.mappings,
-            scenario.database,
+            scenario,
             method="e-basic",
-            links=scenario.links,
-            engine="parallel",
-            parallel=CONFIGS[f"parallel-thread[{WORKERS}]"]["parallel"],
             optimize=False,
+            **CONFIGS[f"parallel-thread[{WORKERS}]"],
         ),
         rounds=1,
         iterations=1,

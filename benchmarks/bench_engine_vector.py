@@ -30,8 +30,8 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.bench.harness import cold_query
 from repro.bench.reporting import format_table
-from repro.core import evaluate
 from repro.datagen.scenario import build_scenario
 from repro.obs import write_bench_artifact
 from repro.workloads.queries import PAPER_QUERIES
@@ -50,15 +50,7 @@ def _measure(engine, query, scenario, rounds):
     best, result = None, None
     for _ in range(rounds):
         started = time.perf_counter()
-        result = evaluate(
-            query,
-            scenario.mappings,
-            scenario.database,
-            method="e-basic",
-            links=scenario.links,
-            engine=engine,
-            optimize=False,
-        )
+        result = cold_query(query, scenario, method="e-basic", engine=engine, optimize=False)
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
     return best, result
@@ -156,14 +148,8 @@ def test_vector_engine_beats_columnar(benchmark, report_writer):
     smallest = build_scenario(target="Excel", h=SMOKE_H, scale=SCALES[0], seed=7)
     smallest_query = PAPER_QUERIES["Q4"].build(smallest.target_schema)
     benchmark.pedantic(
-        lambda: evaluate(
-            smallest_query,
-            smallest.mappings,
-            smallest.database,
-            method="e-basic",
-            links=smallest.links,
-            engine="vector",
-            optimize=False,
+        lambda: cold_query(
+            smallest_query, smallest, method="e-basic", engine="vector", optimize=False
         ),
         rounds=1,
         iterations=1,

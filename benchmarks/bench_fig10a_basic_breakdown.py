@@ -10,8 +10,8 @@ dominant phase and aggregation is negligible — is what is checked.
 
 from __future__ import annotations
 
+from repro.bench.harness import cold_query
 from repro.bench.reporting import format_table
-from repro.core import evaluate
 from repro.datagen.scenario import build_scenario
 from repro.workloads.queries import PAPER_QUERIES
 
@@ -29,14 +29,8 @@ def _run_breakdown():
     for spec in PAPER_QUERIES.values():
         scenario = scenarios[spec.target]
         query = spec.build(scenario.target_schema)
-        result = evaluate(
-            query,
-            scenario.mappings,
-            scenario.database,
-            method="basic",
-            links=scenario.links,
-            optimize=False,  # paper-faithful: the paper has no cost-based optimizer
-        )
+        # optimize=False is paper-faithful: the paper has no cost-based optimizer
+        result = cold_query(query, scenario, method="basic", optimize=False)
         phases = result.stats.phase_seconds
         evaluation = phases.get("evaluation", 0.0)
         aggregation = phases.get("aggregation", 0.0)

@@ -9,9 +9,8 @@ two coincide at k≈10 because the query has no more than 10 distinct answers).
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentSeries, point_from_result
+from repro.bench.harness import ExperimentSeries, cold_query, point_from_result
 from repro.bench.reporting import render_experiment
-from repro.core import evaluate, evaluate_top_k
 from repro.datagen.scenario import build_scenario
 from repro.workloads.queries import PAPER_QUERIES
 
@@ -31,25 +30,12 @@ def _build_panel(query_id: str) -> ExperimentSeries:
     import time
 
     started = time.perf_counter()
-    exact = evaluate(
-        query,
-        scenario.mappings,
-        scenario.database,
-        method="o-sharing",
-        links=scenario.links,
-        optimize=False,  # paper-faithful: the paper has no cost-based optimizer
-    )
+    # optimize=False is paper-faithful: the paper has no cost-based optimizer
+    exact = cold_query(query, scenario, method="o-sharing", optimize=False)
     exact_seconds = time.perf_counter() - started
     for k in K_VALUES:
         started = time.perf_counter()
-        topk = evaluate_top_k(
-            query,
-            scenario.mappings,
-            scenario.database,
-            k=k,
-            links=scenario.links,
-            optimize=False,  # paper-faithful: the paper has no cost-based optimizer
-        )
+        topk = cold_query(query, scenario, method="top-k", k=k, optimize=False)
         elapsed = time.perf_counter() - started
         series.add(point_from_result(topk, method="top-k", x=k, seconds=elapsed))
         series.add(point_from_result(exact, method="o-sharing", x=k, seconds=exact_seconds))

@@ -1,9 +1,9 @@
-"""Session reuse: one warm session vs N cold one-shot calls.
+"""Session reuse: one warm session vs a fresh session per workload.
 
 The serving scenario the session-first API exists for: the same 20-query
 workload (5 distinct Table III queries, repeated as real traffic repeats
-them) arrives again and again.  Cold one-shot calls pay the full price every
-time — reformulation, clustering, planning, execution.  A warm
+them) arrives again and again.  A fresh session per workload pays the full
+price every time — reformulation, clustering, planning, execution.  A warm
 :class:`repro.Session` keeps the plan cache, statistics catalog and
 optimizer memo between workloads, so the repeat pass is answered from shared
 materializations.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from repro import ExecutionPolicy, Session
 from repro.bench.reporting import format_table
-from repro.core import evaluate_many
 from repro.obs import write_bench_artifact
 from repro.workloads.queries import PAPER_QUERIES
 
@@ -39,13 +38,8 @@ def _build_workload(scenario):
 
 
 def _run_cold(queries, scenario, passes):
-    """The one-shot regime: every workload rebuilds all cross-query state."""
-    return [
-        evaluate_many(
-            queries, scenario.mappings, scenario.database, links=scenario.links
-        )
-        for _ in range(passes)
-    ]
+    """The cold regime: a fresh session — no cross-query state — per workload."""
+    return [_run_warm(queries, scenario, passes=1)[0][0] for _ in range(passes)]
 
 
 def _run_warm(queries, scenario, passes):

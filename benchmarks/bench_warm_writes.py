@@ -1,9 +1,9 @@
 """Warm sessions under writes: delta maintenance vs cold recomputation.
 
 The serving scenario the delta machinery exists for: a session keeps
-answering a repeated probe workload while rows keep arriving.  Cold one-shot
-calls pay the full price after every write; a warm :class:`repro.Session`
-absorbs append deltas into its plan cache, hash indexes, shard layouts and
+answering a repeated probe workload while rows keep arriving.  Cold calls (a
+fresh session each) pay the full price after every write; a warm
+:class:`repro.Session` absorbs append deltas into its plan cache, hash indexes, shard layouts and
 statistics, re-executing only what the write actually invalidated.
 
 CI gates (operator counts are deterministic; wall-clock is reported but not
@@ -27,8 +27,8 @@ from __future__ import annotations
 import time
 
 from repro import ExecutionPolicy, Session
+from repro.bench.harness import cold_query
 from repro.bench.reporting import format_table
-from repro.core import evaluate
 from repro.core.target_query import TargetQuery
 from repro.datagen.paper_example import build_paper_example
 from repro.relational.algebra import Project, Scan
@@ -56,7 +56,7 @@ def _order_probe(example) -> TargetQuery:
 
 
 def _run_cold(probes):
-    """The one-shot regime: every checkpoint recomputes from scratch."""
+    """The cold regime: every checkpoint recomputes from scratch."""
     passes = []
     answers = []
     for k in range(K_WRITES + 1):
@@ -68,10 +68,7 @@ def _run_cold(probes):
         operators = 0
         checkpoint = []
         for probe in probes:
-            result = evaluate(
-                probe, replay.mappings, replay.database,
-                method="e-mqo", links=replay.links,
-            )
+            result = cold_query(probe, replay, method="e-mqo")
             operators += result.stats.source_operators
             checkpoint.append(dict(result.answers.items()))
         passes.append(

@@ -17,14 +17,18 @@ Run it with::
 
 from __future__ import annotations
 
-from repro.core import evaluate, evaluate_top_k
+from repro import connect
 from repro.core.partition_tree import partition
 from repro.datagen.paper_example import build_paper_example
 
 
 def main() -> None:
     example = build_paper_example()
+    with connect(example) as session:
+        walk_through(example, session)
 
+
+def walk_through(example, session) -> None:
     print("Possible mappings (Figure 3)")
     print("----------------------------")
     for mapping in example.mappings:
@@ -42,18 +46,12 @@ def main() -> None:
     print()
 
     print("q0 = π_addr σ_phone='123' Person   (paper: {(aaa, 0.5), (hk, 0.5)})")
-    result = evaluate(
-        example.q0(), example.mappings, example.database,
-        method="basic", links=example.links,
-    )
+    result = session.query(example.q0(), method="basic")
     print(result.answers.pretty())
     print()
 
     print("π_phone σ_addr='aaa' Person   (paper: {(123, 0.5), (456, 0.8), (789, 0.2)})")
-    result = evaluate(
-        example.q_phone_by_addr(), example.mappings, example.database,
-        method="o-sharing", links=example.links,
-    )
+    result = session.query(example.q_phone_by_addr(), method="o-sharing")
     print(result.answers.pretty())
     print()
 
@@ -67,28 +65,19 @@ def main() -> None:
     print()
 
     print("q2 = (σ_addr='hk' σ_phone='123' Person) × Order   (o-sharing, Section V)")
-    result = evaluate(
-        example.q2(), example.mappings, example.database,
-        method="o-sharing", links=example.links,
-    )
+    result = session.query(example.q2(), method="o-sharing")
     print(result.answers.pretty())
     print(
         f"  e-units created: {result.details['units_created']}, "
         f"pruned through empty intermediates: {result.details['units_pruned_empty']}, "
         f"source operators executed: {result.stats.source_operators}"
     )
-    baseline = evaluate(
-        example.q2(), example.mappings, example.database,
-        method="basic", links=example.links,
-    )
+    baseline = session.query(example.q2(), method="basic")
     print(f"  (basic executes {baseline.stats.source_operators} source operators)")
     print()
 
     print("Top-1 of π_phone σ_addr='aaa' Person   (paper's Table II walks this through)")
-    top = evaluate_top_k(
-        example.q_phone_by_addr(), example.mappings, example.database,
-        k=1, links=example.links,
-    )
+    top = session.top_k(example.q_phone_by_addr(), k=1)
     print(top.answers.pretty())
 
 

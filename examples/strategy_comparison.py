@@ -15,22 +15,17 @@ from __future__ import annotations
 
 import time
 
-from repro import build_scenario, evaluate
+from repro import build_scenario, connect
 from repro.bench.reporting import format_table
 from repro.workloads import paper_query
 
 
 def measure(query, scenario, method, **options):
-    started = time.perf_counter()
-    result = evaluate(
-        query,
-        scenario.mappings,
-        scenario.database,
-        method=method,
-        links=scenario.links,
-        **options,
-    )
-    elapsed = time.perf_counter() - started
+    # A fresh session per run: every method starts cold, so the costs compare.
+    with connect(scenario, method=method, **options) as session:
+        started = time.perf_counter()
+        result = session.query(query)
+        elapsed = time.perf_counter() - started
     return result, elapsed
 
 

@@ -11,8 +11,8 @@ mappings* with probabilities.  It contains:
 * a deterministic purchase-order data generator and ready-made experiment
   scenarios (:mod:`repro.datagen`),
 * the paper's evaluation algorithms — basic, e-basic, e-MQO, q-sharing,
-  o-sharing and probabilistic top-k — plus the shared-execution batch API
-  ``evaluate_many`` (:mod:`repro.core`),
+  o-sharing and probabilistic top-k — plus shared execution of whole
+  workloads (``session.query_many``; :mod:`repro.core`),
 * the anytime subsystem: budgeted queries with sound, resumable per-tuple
   probability intervals (:mod:`repro.anytime`, ``method="anytime"``),
 * the paper's query workload and parameterised workload generators
@@ -32,9 +32,7 @@ Quickstart (session-first)::
 
 A :class:`Session` owns all cross-query state (plan cache, statistics
 catalog, optimizer memo, worker pools) so repeated queries stop paying for
-work already done; how queries execute is an :class:`ExecutionPolicy`.  The
-legacy one-shot helpers ``evaluate``/``evaluate_many``/``evaluate_top_k``
-remain as deprecated shims over a throwaway session.
+work already done; how queries execute is an :class:`ExecutionPolicy`.
 """
 
 from repro.anytime import AnytimeResult, Budget, IntervalAnswer
@@ -45,9 +43,6 @@ from repro.core import (
     ProbabilisticAnswer,
     SchemaLinks,
     TargetQuery,
-    evaluate,
-    evaluate_many,
-    evaluate_top_k,
     make_evaluator,
 )
 from repro.datagen import MatchingScenario, build_scenario
@@ -72,9 +67,6 @@ __all__ = [
     "ProbabilisticAnswer",
     "SchemaLinks",
     "TargetQuery",
-    "evaluate",
-    "evaluate_many",
-    "evaluate_top_k",
     "make_evaluator",
     "MatchingScenario",
     "build_scenario",

@@ -23,8 +23,9 @@ from repro.core.target_query import TargetQuery
 from repro.datagen.generator import GeneratorConfig, generate_source_instance
 from repro.datagen.scenario import MatchingScenario
 from repro.obs.artifacts import series_payload, write_bench_artifact
+from repro.relational.parallel import default_manager
 from repro.policy import ExecutionPolicy
-from repro.session import Session
+from repro.session import Session, connect
 
 #: The methods compared in Figures 11(a)-(e).
 DEFAULT_METHODS: tuple[str, ...] = ("e-basic", "q-sharing", "o-sharing")
@@ -119,6 +120,26 @@ class ExperimentSeries:
 # --------------------------------------------------------------------------- #
 # single-point runners
 # --------------------------------------------------------------------------- #
+def _session(
+    scenario: MatchingScenario, method: str, options: dict[str, Any], pools=None
+) -> Session:
+    """A session for one measured point; ``options`` are checked against ``method``.
+
+    Cold points (a fresh session each) pass the process-wide ``pools`` so
+    they keep reusing warm workers.
+    """
+    policy = ExecutionPolicy().with_overrides(method=method, **options)
+    return connect(scenario, policy=policy, pools=pools)
+
+
+def cold_query(
+    query: TargetQuery, scenario: MatchingScenario, method: str, **options: Any
+) -> EvaluationResult:
+    """Answer one query on a fresh :class:`~repro.session.Session` (cold caches)."""
+    with _session(scenario, method, options, pools=default_manager()) as session:
+        return session.query(query)
+
+
 def run_method(
     method: str,
     query: TargetQuery,
@@ -128,22 +149,11 @@ def run_method(
 ) -> ExperimentPoint:
     """Run one method on one query and collect its measurements.
 
-    Each point runs in a fresh throwaway :class:`~repro.session.Session`
-    (cold caches — the paper's per-figure setting); :func:`run_session`
-    measures the warm-session regime instead.
+    Each point is a :func:`cold_query` (the paper's per-figure setting);
+    :func:`run_session` measures the warm-session regime instead.
     """
-    from repro.relational.parallel import default_manager
-
     started = time.perf_counter()
-    policy = ExecutionPolicy.from_options(method=method, **options)
-    with Session(
-        scenario.database,
-        scenario.mappings,
-        links=scenario.links,
-        policy=policy,
-        pools=default_manager(),  # per-point sessions share warm workers
-    ) as session:
-        result = session.query(query)
+    result = cold_query(query, scenario, method, **options)
     elapsed = time.perf_counter() - started
     return point_from_result(result, method=method, x=x, seconds=elapsed)
 
@@ -305,23 +315,14 @@ def run_workload(
     x: Any = None,
     **options: Any,
 ) -> ExperimentPoint:
-    """Run a whole workload through ``evaluate_many`` as one measured point.
+    """Run a whole workload through ``query_many`` as one measured point.
 
     The point's aggregate counters cover the entire workload; the plan-cache
     snapshot and workload-level details land in ``point.details``.  Seconds
     are the phase-time sum, the same basis :func:`point_from_result` uses, so
     batch points are comparable with per-query method points.
     """
-    from repro.relational.parallel import default_manager
-
-    policy = ExecutionPolicy.from_options(method="batch", **options)
-    with Session(
-        scenario.database,
-        scenario.mappings,
-        links=scenario.links,
-        policy=policy,
-        pools=default_manager(),
-    ) as session:
+    with _session(scenario, "batch", options, pools=default_manager()) as session:
         batch = session.query_many(queries)
     return _batch_point(batch, method="batch", x=x)
 
@@ -345,11 +346,8 @@ def run_session(
     """
     if passes <= 0:
         raise ValueError("passes must be positive")
-    policy = ExecutionPolicy.from_options(method="batch", **options)
     points: list[ExperimentPoint] = []
-    with Session(
-        scenario.database, scenario.mappings, links=scenario.links, policy=policy
-    ) as session:
+    with _session(scenario, "batch", options) as session:
         for number in range(1, passes + 1):
             started = time.perf_counter()
             batch = session.query_many(queries)

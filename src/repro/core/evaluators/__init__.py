@@ -12,6 +12,10 @@ top-k      bound-pruned top-k on top of o-sharing (VII)
 batch      shared execution across a workload of target queries
 anytime    budgeted o-sharing with sound probability intervals
 ========== =========================================================
+
+Two cores carry all of them: basic, e-basic, e-mqo, q-sharing and batch are
+groupings and sharing rules over :mod:`repro.core.evaluators.whole_query`;
+o-sharing, top-k and anytime are schedules over :mod:`repro.core.utrace`.
 """
 
 from repro.core.evaluators.anytime import AnytimeEvaluator
@@ -26,12 +30,17 @@ from repro.core.evaluators.base import (
     SharedState,
 )
 from repro.core.evaluators.basic import BasicEvaluator
-from repro.core.evaluators.batch import BatchEvaluator, BatchResult, evaluate_many
-from repro.core.evaluators.ebasic import EBasicEvaluator, cluster_source_queries
-from repro.core.evaluators.emqo import EMQOEvaluator, MemoizingExecutor, build_global_plan
+from repro.core.evaluators.batch import BatchEvaluator, BatchResult
+from repro.core.evaluators.ebasic import EBasicEvaluator
+from repro.core.evaluators.emqo import EMQOEvaluator, MemoizingExecutor
 from repro.core.evaluators.osharing import OSharingEvaluator
 from repro.core.evaluators.qsharing import QSharingEvaluator
 from repro.core.evaluators.topk import TopKEvaluator
+from repro.core.evaluators.whole_query import (
+    build_global_plan,
+    per_distinct_plan,
+    per_mapping,
+)
 
 #: Registry of the exact-answer evaluators, keyed by their public name.
 EVALUATORS = {
@@ -71,12 +80,12 @@ __all__ = [
     "BasicEvaluator",
     "BatchEvaluator",
     "BatchResult",
-    "evaluate_many",
     "EBasicEvaluator",
-    "cluster_source_queries",
     "EMQOEvaluator",
     "MemoizingExecutor",
     "build_global_plan",
+    "per_distinct_plan",
+    "per_mapping",
     "OSharingEvaluator",
     "QSharingEvaluator",
     "TopKEvaluator",

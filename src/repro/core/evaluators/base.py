@@ -19,7 +19,7 @@ from repro.core.links import SchemaLinks
 from repro.core.target_query import TargetQuery
 from repro.matching.mappings import MappingSet
 from repro.relational.database import Database
-from repro.relational.executor import DEFAULT_ENGINE, ENGINES
+from repro.relational.executor import DEFAULT_ENGINE, ENGINES, available_engines
 from repro.relational.stats import ExecutionStats
 
 #: Names of the timing phases every evaluator records.
@@ -34,8 +34,7 @@ PHASE_ANYTIME = "anytime"
 class SharedState:
     """Long-lived cross-query state a :class:`~repro.session.Session` injects.
 
-    One-shot evaluation rebuilds everything per call; a session instead hands
-    every evaluator it constructs the same:
+    A session hands every evaluator it constructs the same:
 
     * ``plan_cache`` — one bounded
       :class:`~repro.relational.plancache.PlanCache` (already attached to the
@@ -53,7 +52,7 @@ class SharedState:
       started lazily and shut down by ``Session.close()``.
 
     All fields are optional; an evaluator constructed without shared state
-    behaves exactly as the one-shot API always did.  ``database`` pins the
+    builds what it needs per evaluation.  ``database`` pins the
     state to the database it serves: plan-cache keys are database-agnostic
     canonical fingerprints (and the inflight registry shares live results),
     so injected state must never leak across databases — a session always
@@ -153,8 +152,17 @@ class Evaluator(abc.ABC):
         shared: SharedState | None = None,
     ):
         self.links = links
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; available: {ENGINES}")
+        engines = available_engines()
+        if engine not in engines:
+            # Same wording as the executor, raised at construction instead of
+            # inside the first evaluate().
+            if engine in ENGINES:
+                raise ValueError(
+                    f"engine {engine!r} requires NumPy, which is not installed; "
+                    f"available: {engines} "
+                    "(install the optional extra: pip install repro[vector])"
+                )
+            raise ValueError(f"unknown engine {engine!r}; available: {engines}")
         self.engine = engine
         self.optimize = optimize
         #: optional :class:`~repro.relational.parallel.ParallelConfig` handed

@@ -11,81 +11,20 @@ optimisation that must return exactly the same probabilistic answer.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.core.answer import ProbabilisticAnswer
-from repro.core.evaluators.base import (
-    PHASE_AGGREGATION,
-    PHASE_EVALUATION,
-    PHASE_REWRITING,
-    EvaluationResult,
-    Evaluator,
-)
-from repro.core.reformulation import (
-    UnmatchedAttributeError,
-    extract_answers,
-    reformulate_query,
-)
-from repro.core.target_query import TargetQuery
-from repro.matching.mappings import Mapping, MappingSet
-from repro.relational.database import Database
-from repro.relational.stats import ExecutionStats
+from repro.core.evaluators.whole_query import WholeQueryEvaluator, per_mapping
 
 
-class BasicEvaluator(Evaluator):
+class BasicEvaluator(WholeQueryEvaluator):
     """Evaluate the query once per possible mapping (the paper's ``basic``)."""
 
     name = "basic"
 
-    def evaluate(
-        self,
-        query: TargetQuery,
-        mappings: MappingSet,
-        database: Database,
-    ) -> EvaluationResult:
-        return self.evaluate_mappings(query, mappings, database)
+    def source_queries(self, query, mappings, stats):
+        return per_mapping(query, mappings, self.links, stats)
 
-    def evaluate_mappings(
-        self,
-        query: TargetQuery,
-        mappings: Iterable[Mapping],
-        database: Database,
-    ) -> EvaluationResult:
-        """Evaluate over an explicit list of mappings.
+    def details(self, source_queries, stats):
+        return {"evaluated_source_queries": stats.source_queries}
 
-        q-sharing reuses this entry point with its representative mappings
-        (Step 3 of Algorithm 1), which is why it accepts any iterable rather
-        than only a :class:`~repro.matching.mappings.MappingSet`.
-        """
-        stats = ExecutionStats()
-        executor = self._executor(database, stats)
-        answers = ProbabilisticAnswer()
-        evaluated_queries = 0
-
-        for mapping in mappings:
-            with stats.phase(PHASE_REWRITING):
-                try:
-                    source_query = reformulate_query(query, mapping, self.links)
-                except UnmatchedAttributeError:
-                    source_query = None
-                stats.count_reformulation()
-            if source_query is None:
-                with stats.phase(PHASE_AGGREGATION):
-                    answers.add_empty(mapping.probability)
-                continue
-            with stats.phase(PHASE_EVALUATION):
-                result = executor.execute_query(source_query)
-                evaluated_queries += 1
-            with stats.phase(PHASE_AGGREGATION):
-                tuples = extract_answers(query, mapping, result)
-                if tuples:
-                    answers.add_tuples(tuples, mapping.probability)
-                else:
-                    answers.add_empty(mapping.probability)
-
-        return self._result(
-            query,
-            answers,
-            stats,
-            evaluated_source_queries=evaluated_queries,
-        )
+    #: ``evaluate`` under the name that says any iterable of mappings will do,
+    #: not only a :class:`~repro.matching.mappings.MappingSet`.
+    evaluate_mappings = WholeQueryEvaluator.evaluate

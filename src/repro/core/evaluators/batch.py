@@ -9,7 +9,7 @@ reformulated source queries.  :class:`BatchEvaluator` exploits both:
   several times in the workload is reformulated and clustered once;
 * **planning is global** — one MQO shared-subexpression analysis runs over
   the source queries of the *entire* workload (linear-time occurrence
-  counting by default, rather than e-MQO's deliberately quadratic pairwise
+  counting, rather than e-MQO's deliberately quadratic pairwise
   confirmation), so subexpressions common to *different* target queries are
   shared too;
 * **execution is shared** — a single bounded
@@ -39,23 +39,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
-from repro.core.answer import ProbabilisticAnswer
-from repro.core.evaluators.base import (
-    PHASE_AGGREGATION,
-    PHASE_EVALUATION,
-    PHASE_PLANNING,
-    PHASE_REWRITING,
-    EvaluationResult,
-    Evaluator,
+from repro.core.evaluators.base import PHASE_REWRITING, EvaluationResult
+from repro.core.evaluators.whole_query import (
+    SourceQuery,
+    WholeQueryEvaluator,
+    cache_counters,
+    executable,
 )
-from repro.core.evaluators.ebasic import DistinctSourceQuery, cluster_source_queries
-from repro.core.evaluators.emqo import build_global_plan
-from repro.core.reformulation import extract_answers
 from repro.core.target_query import TargetQuery
 from repro.matching.mappings import MappingSet
 from repro.relational.database import Database
 from repro.relational.executor import DEFAULT_ENGINE
-from repro.relational.plancache import PlanCache
 from repro.relational.stats import ExecutionStats
 
 
@@ -104,28 +98,28 @@ class BatchResult:
         return iter(self.results)
 
 
-class BatchEvaluator(Evaluator):
-    """Shared-execution evaluation of many target queries (``evaluate_many``).
+class BatchEvaluator(WholeQueryEvaluator):
+    """Shared-execution evaluation of a workload of target queries.
+
+    e-basic's grouping per distinct target query, one global plan over the
+    whole workload with sharing found by linear occurrence counting.
 
     Parameters
     ----------
     links:
         Optional source-schema join links shared by all reformulations.
     cache_size:
-        Bound of the shared :class:`PlanCache` (entries, LRU-evicted).
-    exhaustive_planning:
-        Use e-MQO's quadratic pairwise confirmation instead of linear
-        occurrence counting when building the workload's global plan.  Only
-        useful to study planning cost; the selected shared set is the same.
+        Bound of the per-call :class:`~repro.relational.plancache.PlanCache`
+        (entries, LRU-evicted) used when no session cache is injected.
     """
 
     name = "batch"
+    exhaustive = False
 
     def __init__(
         self,
         links=None,
         cache_size: int = 4096,
-        exhaustive_planning: bool = False,
         engine: str = DEFAULT_ENGINE,
         optimize: bool = True,
         parallel=None,
@@ -135,7 +129,6 @@ class BatchEvaluator(Evaluator):
             links, engine=engine, optimize=optimize, parallel=parallel, shared=shared
         )
         self.cache_size = cache_size
-        self.exhaustive_planning = exhaustive_planning
 
     def _parallel_config(self):
         """The effective :class:`ParallelConfig` (explicit, else process default)."""
@@ -171,75 +164,46 @@ class BatchEvaluator(Evaluator):
 
         A session-owned plan cache (injected shared state) persists *across*
         ``evaluate_many`` calls — a repeated workload is answered from the
-        shared materializations the first pass stored.  One-shot use builds
-        a throwaway cache wired to the database's invalidation hooks for
-        exactly this call.
+        shared materializations the first pass stored.
         """
         queries = list(queries)
-        cache = self._shared_cache(database)
-        if cache is not None:
-            return self._evaluate_many(queries, mappings, database, cache)
-        cache = PlanCache(maxsize=self.cache_size)
-        cache.attach(database)
-        try:
-            return self._evaluate_many(queries, mappings, database, cache)
-        finally:
-            cache.detach(database)
 
-    # ------------------------------------------------------------------ #
-    def _evaluate_many(
-        self,
-        queries: list[TargetQuery],
-        mappings: MappingSet,
-        database: Database,
-        cache: PlanCache,
-    ) -> BatchResult:
-        batch_stats = ExecutionStats()
-        # Per-call plan-cache reporting even on a long-lived session cache:
-        # hits/misses/savings come from this call's own ExecutionStats
-        # (attributed per executor, so concurrent query_many calls on one
-        # session cannot contaminate each other); only eviction/invalidation
-        # counts — which live on the cache alone — use a since-entry delta.
-        cache_since = cache.stats.snapshot()
-
-        # Phase 1 — rewriting, amortised: cluster once per *distinct* target
-        # query; repeated queries reuse the clustering without re-reformulating.
-        clusters: dict[str, tuple[list[DistinctSourceQuery], float]] = {}
-        first_stats: dict[str, ExecutionStats] = {}
+        # Phase 1 — rewriting, amortised: group once per *distinct* target
+        # query; repeated queries reuse the grouping without re-reformulating.
+        clusters: dict[str, list[SourceQuery]] = {}
         keys: list[str] = []
+        per_query_stats: list[ExecutionStats] = []
         for query in queries:
             key = self._query_key(query)
-            keys.append(key)
+            stats = ExecutionStats()
             if key not in clusters:
-                stats = ExecutionStats()
                 with stats.phase(PHASE_REWRITING):
-                    clusters[key] = cluster_source_queries(
-                        query, mappings, self.links, stats
-                    )
-                first_stats[key] = stats
+                    clusters[key] = self.source_queries(query, mappings, stats)
+            keys.append(key)
+            per_query_stats.append(stats)
 
-        # Phase 2 — one global plan over the whole workload.  Plans are
-        # optimized first (the optimizer memo deduplicates identical source
-        # queries across the workload) and collected with workload
-        # multiplicity so that a repeated target query's entire source
-        # queries count as shared subexpressions *of the optimized form*.
-        planning = ExecutionStats()
-        with planning.phase(PHASE_PLANNING):
-            optimizer = self._optimizer(database)
-            optimized: dict[str, list] = {}
-            for key, (distinct, _) in clusters.items():
-                if optimizer is not None:
-                    optimized[key] = [
-                        optimizer.optimize(entry.plan, planning) for entry in distinct
-                    ]
-                else:
-                    optimized[key] = [entry.plan for entry in distinct]
-            plans = []
-            for key in keys:
-                plans.extend(optimized[key])
-            global_plan = build_global_plan(plans, exhaustive=self.exhaustive_planning)
-            policy = global_plan.materialization_policy()
-        batch_stats.merge(planning)
+        # Phase 2 — one global plan over the whole workload, collected with
+        # workload multiplicity so that a repeated target query's entire
+        # source queries count as shared subexpressions *of the optimized
+        # form* (the optimizer memo deduplicates identical source queries
+        # across the workload).
+        batch_stats = ExecutionStats()
+        global_plan = self._plan_sharing(
+            database,
+            [entry for cluster in clusters.values() for entry in executable(cluster)],
+            [entry for key in keys for entry in executable(clusters[key])],
+            batch_stats,
+        )
+
+        def evaluate_one(query, key, stats, executor) -> EvaluationResult:
+            answers = self._answers(query, clusters[key], executor, stats)
+            return self._result(
+                query,
+                answers,
+                stats,
+                **self.details(clusters[key], stats),
+                **cache_counters(stats),
+            )
 
         # Phase 3 — shared execution through one plan cache.  Serial engines
         # reuse one executor (swapping the per-query stats); the parallel
@@ -248,85 +212,67 @@ class BatchEvaluator(Evaluator):
         # shared materializations computed once behind a future.  (The
         # inter-query pool is distinct from the morsel pool the executors
         # submit operator shards to, so the two levels cannot deadlock.)
-        per_query_stats = [
-            first_stats.pop(key, None) or ExecutionStats() for key in keys
-        ]
-
-        def evaluate_one(query, key, stats, executor) -> EvaluationResult:
-            distinct, unmatched_probability = clusters[key]
-            answers = ProbabilisticAnswer()
-            if unmatched_probability:
-                answers.add_empty(unmatched_probability)
-            for source_query, plan in zip(distinct, optimized[key]):
-                with stats.phase(PHASE_EVALUATION):
-                    result = executor.execute_query(plan)
-                with stats.phase(PHASE_AGGREGATION):
-                    tuples = extract_answers(query, source_query.representative, result)
-                    if tuples:
-                        answers.add_tuples(tuples, source_query.probability)
-                    else:
-                        answers.add_empty(source_query.probability)
-            return self._result(
-                query,
-                answers,
-                stats,
-                distinct_source_queries=len(distinct),
-                plan_cache_hits=stats.plan_cache_hits,
-                plan_cache_misses=stats.plan_cache_misses,
-                operators_saved=stats.operators_saved,
-            )
-
         workers = self._query_workers(len(queries))
-        if workers > 1:
-            from repro.relational.parallel import InflightComputations
-            from repro.relational.parallel.pool import map_ordered
+        with self._plan_cache(database, self.cache_size) as cache:
+            # Per-call plan-cache reporting even on a long-lived session
+            # cache: hits/misses/savings come from this call's own
+            # ExecutionStats (attributed per executor, so concurrent
+            # query_many calls on one session cannot contaminate each other);
+            # only eviction/invalidation counts — which live on the cache
+            # alone — use a since-entry delta.
+            cache_since = cache.stats.snapshot()
+            if workers > 1:
+                from repro.relational.parallel import InflightComputations
+                from repro.relational.parallel.pool import map_ordered
 
-            # The cross-call inflight registry is only shared alongside the
-            # session cache it deduplicates for: its keys are
-            # database-agnostic fingerprints, so sharing it without the
-            # attached cache could hand one database's materialization to
-            # another's query.
-            shared = self._shared_state(database)
-            if (
-                shared is not None
-                and shared.inflight is not None
-                and self._shared_cache(database) is cache
-            ):
-                inflight = shared.inflight
+                # The cross-call inflight registry is only shared alongside
+                # the session cache it deduplicates for: its keys are
+                # database-agnostic fingerprints, so sharing it without the
+                # attached cache could hand one database's materialization
+                # to another's query.
+                shared = self._shared_state(database)
+                if (
+                    shared is not None
+                    and shared.inflight is not None
+                    and self._shared_cache(database) is cache
+                ):
+                    inflight = shared.inflight
+                else:
+                    inflight = InflightComputations()
+
+                def job(index: int) -> EvaluationResult:
+                    executor = self._sharing_executor(
+                        database,
+                        per_query_stats[index],
+                        cache,
+                        global_plan,
+                        inflight=inflight,
+                    )
+                    return evaluate_one(
+                        queries[index], keys[index], per_query_stats[index], executor
+                    )
+
+                pools = shared.pools if shared is not None else None
+                pool_cap = workers
+                if pools is not None:
+                    # Key the long-lived inter-query pool at the config's
+                    # full worker count, not at min(workers, len(queries)):
+                    # workloads of varying size then share ONE pool per
+                    # session instead of accumulating one idle pool per
+                    # distinct size (threads grow lazily, so a wide pool
+                    # serving few queries costs nothing).
+                    pool_cap = self._parallel_config().resolved_workers()
+                results = map_ordered(pool_cap, job, range(len(queries)), pools=pools)
             else:
-                inflight = InflightComputations()
-
-            def job(index: int) -> EvaluationResult:
-                executor = self._executor(
-                    database,
-                    per_query_stats[index],
-                    cache=cache,
-                    policy=policy,
-                    optimizer=None,
-                    inflight=inflight,
+                executor = self._sharing_executor(
+                    database, ExecutionStats(), cache, global_plan
                 )
-                return evaluate_one(
-                    queries[index], keys[index], per_query_stats[index], executor
-                )
-
-            pools = shared.pools if shared is not None else None
-            pool_cap = workers
-            if pools is not None:
-                # Key the long-lived inter-query pool at the config's full
-                # worker count, not at min(workers, len(queries)): workloads
-                # of varying size then share ONE pool per session instead of
-                # accumulating one idle pool per distinct size (threads grow
-                # lazily, so a wide pool serving few queries costs nothing).
-                pool_cap = self._parallel_config().resolved_workers()
-            results = map_ordered(pool_cap, job, range(len(queries)), pools=pools)
-        else:
-            executor = self._executor(
-                database, ExecutionStats(), cache=cache, policy=policy, optimizer=None
-            )
-            results = []
-            for query, key, stats in zip(queries, keys, per_query_stats):
-                executor.stats = stats
-                results.append(evaluate_one(query, key, stats, executor))
+                results = []
+                for query, key, stats in zip(queries, keys, per_query_stats):
+                    executor.stats = stats
+                    results.append(evaluate_one(query, key, stats, executor))
+            evictions = cache.stats.evictions - cache_since["evictions"]
+            invalidations = cache.stats.invalidations - cache_since["invalidations"]
         for result in results:
             batch_stats.merge(result.stats)
 
@@ -344,8 +290,8 @@ class BatchEvaluator(Evaluator):
         plan_cache = {
             "hits": batch_stats.plan_cache_hits,
             "misses": batch_stats.plan_cache_misses,
-            "evictions": cache.stats.evictions - cache_since["evictions"],
-            "invalidations": cache.stats.invalidations - cache_since["invalidations"],
+            "evictions": evictions,
+            "invalidations": invalidations,
             "operators_saved": batch_stats.operators_saved,
             "hit_rate": round(batch_stats.plan_cache_hits / lookups, 4) if lookups else 0.0,
         }
@@ -360,46 +306,3 @@ class BatchEvaluator(Evaluator):
     def _query_key(query: TargetQuery) -> str:
         """Clustering memo key: two queries with one key reformulate alike."""
         return f"{query.schema.name}::{query.plan.canonical()}"
-
-
-def evaluate_many(
-    queries: Sequence[TargetQuery],
-    mappings: MappingSet,
-    database: Database,
-    links=None,
-    **options: Any,
-) -> BatchResult:
-    """Evaluate a workload with shared execution (deprecated one-shot entry).
-
-    .. deprecated::
-        Use :class:`repro.Session` / :func:`repro.connect` —
-        ``session.query_many(queries)`` — so the plan cache the workload
-        warms keeps serving the *next* workload too.  This shim runs a
-        throwaway session per call: answers are byte-identical, the
-        cross-call amortisation is lost.
-
-    Reformulation/clustering is amortised across repeated queries, one MQO
-    global plan covers the whole workload, and a single bounded plan cache
-    serves every query.  With ``engine="parallel"`` the workload's queries
-    additionally run concurrently (inter-query parallelism) with shared
-    materializations computed once behind a future.  ``options`` are
-    :class:`repro.ExecutionPolicy` fields (``cache_size=``, ``engine=``,
-    ``optimize=``, ``parallel=``, ``exhaustive_planning=``); unknown names
-    raise ``ValueError`` listing the valid choices.  Returns a
-    :class:`BatchResult` with one
-    :class:`~repro.core.evaluators.base.EvaluationResult` per query in
-    workload order plus workload-aggregate statistics and a plan-cache
-    snapshot.
-    """
-    from repro.core import _deprecated_one_shot
-
-    _deprecated_one_shot("evaluate_many", "session.query_many(queries)")
-    from repro.policy import ExecutionPolicy
-    from repro.relational.parallel import default_manager
-    from repro.session import Session
-
-    policy = ExecutionPolicy.from_options(method="batch", **options)
-    with Session(
-        database, mappings, links=links, policy=policy, pools=default_manager()
-    ) as session:
-        return session.query_many(queries)

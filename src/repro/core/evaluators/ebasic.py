@@ -10,110 +10,14 @@ mappings overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.answer import ProbabilisticAnswer
-from repro.core.evaluators.base import (
-    PHASE_AGGREGATION,
-    PHASE_EVALUATION,
-    PHASE_REWRITING,
-    EvaluationResult,
-    Evaluator,
-)
-from repro.core.reformulation import (
-    UnmatchedAttributeError,
-    extract_answers,
-    reformulate_query,
-)
-from repro.core.target_query import TargetQuery
-from repro.matching.mappings import Mapping, MappingSet
-from repro.relational.algebra import PlanNode
-from repro.relational.database import Database
-from repro.relational.stats import ExecutionStats
+from repro.core.evaluators.whole_query import WholeQueryEvaluator
 
 
-@dataclass
-class DistinctSourceQuery:
-    """One distinct source query with the mappings (and probability) it serves."""
+class EBasicEvaluator(WholeQueryEvaluator):
+    """Evaluate each *distinct* source query once (the paper's ``e-basic``).
 
-    plan: PlanNode
-    representative: Mapping
-    probability: float
-    mapping_count: int
-
-
-def cluster_source_queries(
-    query: TargetQuery,
-    mappings: MappingSet,
-    links,
-    stats: ExecutionStats,
-) -> tuple[list[DistinctSourceQuery], float]:
-    """Reformulate every mapping and group identical source queries.
-
-    Returns the distinct source queries plus the total probability of mappings
-    that could not be reformulated (unmatched attributes → null answer).
-    Shared by e-basic and e-MQO.
+    The whole-query core's defaults: the per-distinct-plan grouping, no
+    sharing between the distinct queries.
     """
-    distinct: dict[str, DistinctSourceQuery] = {}
-    unmatched_probability = 0.0
-    for mapping in mappings:
-        try:
-            plan = reformulate_query(query, mapping, links)
-        except UnmatchedAttributeError:
-            unmatched_probability += mapping.probability
-            stats.count_reformulation()
-            continue
-        stats.count_reformulation()
-        key = plan.canonical()
-        existing = distinct.get(key)
-        if existing is None:
-            distinct[key] = DistinctSourceQuery(
-                plan=plan,
-                representative=mapping,
-                probability=mapping.probability,
-                mapping_count=1,
-            )
-        else:
-            existing.probability += mapping.probability
-            existing.mapping_count += 1
-    return list(distinct.values()), unmatched_probability
-
-
-class EBasicEvaluator(Evaluator):
-    """Evaluate each *distinct* source query once (the paper's ``e-basic``)."""
 
     name = "e-basic"
-
-    def evaluate(
-        self,
-        query: TargetQuery,
-        mappings: MappingSet,
-        database: Database,
-    ) -> EvaluationResult:
-        stats = ExecutionStats()
-        executor = self._executor(database, stats)
-        answers = ProbabilisticAnswer()
-
-        with stats.phase(PHASE_REWRITING):
-            distinct, unmatched_probability = cluster_source_queries(
-                query, mappings, self.links, stats
-            )
-        if unmatched_probability:
-            answers.add_empty(unmatched_probability)
-
-        for source_query in distinct:
-            with stats.phase(PHASE_EVALUATION):
-                result = executor.execute_query(source_query.plan)
-            with stats.phase(PHASE_AGGREGATION):
-                tuples = extract_answers(query, source_query.representative, result)
-                if tuples:
-                    answers.add_tuples(tuples, source_query.probability)
-                else:
-                    answers.add_empty(source_query.probability)
-
-        return self._result(
-            query,
-            answers,
-            stats,
-            distinct_source_queries=len(distinct),
-        )

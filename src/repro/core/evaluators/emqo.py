@@ -12,12 +12,14 @@ quickly with the number of distinct source queries (Figure 10(c)).
 
 The implementation here reproduces both behaviours:
 
-* plan generation enumerates every subexpression of every distinct source
-  query, compares all subexpression pairs (across queries *and* within one
-  query — self-join branches and union arms repeat subexpressions too) to
-  find sharing opportunities, and greedily selects materialisation points by
-  estimated benefit — a genuinely quadratic search, which is what makes
-  e-MQO slower than e-basic on large mapping sets;
+* plan generation
+  (:func:`~repro.core.evaluators.whole_query.build_global_plan`) enumerates
+  every subexpression of every distinct source query, compares all
+  subexpression pairs (across queries *and* within one query — self-join
+  branches and union arms repeat subexpressions too) to find sharing
+  opportunities, and greedily selects materialisation points by estimated
+  benefit — a genuinely quadratic search, which is what makes e-MQO slower
+  than e-basic on large mapping sets;
 * execution materialises exactly the subexpressions the global plan selected
   through a :class:`~repro.relational.plancache.PlanCache`, so each shared
   subexpression is evaluated once and the executed-operator count is minimal.
@@ -25,145 +27,11 @@ The implementation here reproduces both behaviours:
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-
-from repro.core.answer import ProbabilisticAnswer
-from repro.core.evaluators.base import (
-    PHASE_AGGREGATION,
-    PHASE_EVALUATION,
-    PHASE_PLANNING,
-    PHASE_REWRITING,
-    EvaluationResult,
-    Evaluator,
-)
-from repro.core.evaluators.ebasic import cluster_source_queries
-from repro.core.reformulation import extract_answers
-from repro.core.target_query import TargetQuery
-from repro.matching.mappings import MappingSet
-from repro.relational.algebra import Materialized, PlanNode
+from repro.core.evaluators.whole_query import WholeQueryEvaluator
 from repro.relational.database import Database
 from repro.relational.executor import DEFAULT_ENGINE, Executor
-from repro.relational.plancache import (
-    MaterializeAll,
-    MaterializeSelected,
-    PlanCache,
-    plan_cost,
-)
+from repro.relational.plancache import MaterializeAll, PlanCache
 from repro.relational.stats import ExecutionStats
-
-
-@dataclass(frozen=True)
-class SharedSubexpression:
-    """A subexpression shared by several distinct source queries."""
-
-    canonical: str
-    operator_count: int
-    occurrences: int
-
-    @property
-    def benefit(self) -> int:
-        """Estimated saving: operators avoided by evaluating the expression once."""
-        return self.operator_count * (self.occurrences - 1)
-
-
-@dataclass
-class GlobalPlan:
-    """The MQO global plan: queries plus the shared subexpressions to materialise."""
-
-    queries: list[PlanNode]
-    shared: list[SharedSubexpression]
-    comparisons: int
-
-    @property
-    def materialisation_points(self) -> int:
-        """Number of shared subexpressions selected for materialisation."""
-        return len(self.shared)
-
-    def selected_canonicals(self) -> frozenset[str]:
-        """Fingerprints of the subexpressions selected for materialisation."""
-        return frozenset(expression.canonical for expression in self.shared)
-
-    def materialization_policy(self) -> MaterializeSelected:
-        """The executor policy that materialises exactly the selected set."""
-        return MaterializeSelected(self.selected_canonicals())
-
-
-def _plan_signatures(queries: list[PlanNode]) -> list[list[tuple[str, int]]]:
-    """Per query, the (fingerprint, operator cost) of every candidate node.
-
-    Every non-:class:`Materialized` node — scans included, since the executor
-    counts scans as operators too — is a candidate materialisation point.
-    """
-    per_query: list[list[tuple[str, int]]] = []
-    for plan in queries:
-        signatures = []
-        for node in plan.walk():
-            if not isinstance(node, Materialized):
-                signatures.append((node.canonical(), plan_cost(node)))
-        per_query.append(signatures)
-    return per_query
-
-
-def build_global_plan(queries: list[PlanNode], exhaustive: bool = True) -> GlobalPlan:
-    """Identify the common subexpressions of a set of source query plans.
-
-    The search follows the classical MQO recipe: enumerate candidate
-    subexpressions per query, compare candidate pairs to confirm sharing, and
-    greedily keep the candidates with the highest benefit.  Pairs are drawn
-    across queries *and* within a single query, so a subexpression repeated
-    inside one source query (self-join branches, union arms) is shared too.
-
-    With ``exhaustive=True`` (e-MQO's faithful mode) the pairwise
-    confirmation step is retained — it is the cost that makes e-MQO's
-    planning phase expensive.  ``exhaustive=False`` computes the same shared
-    set in linear time via occurrence counting; the batch serving engine uses
-    it to keep planning cheap over large workloads.
-    """
-    per_query = _plan_signatures(queries)
-
-    occurrences: dict[str, int] = {}
-    operator_counts: dict[str, int] = {}
-    comparisons = 0
-    if exhaustive:
-        for i, left in enumerate(per_query):
-            for j in range(i, len(per_query)):
-                right = per_query[j]
-                for k, (left_canonical, left_size) in enumerate(left):
-                    for l, (right_canonical, _) in enumerate(right):
-                        if i == j and l <= k:
-                            continue
-                        comparisons += 1
-                        if left_canonical == right_canonical:
-                            occurrences.setdefault(left_canonical, 1)
-                            operator_counts[left_canonical] = left_size
-        # Count exact occurrences of each confirmed-shared subexpression.
-        for canonical in occurrences:
-            total = 0
-            for signatures in per_query:
-                total += sum(1 for candidate, _ in signatures if candidate == canonical)
-            occurrences[canonical] = total
-    else:
-        totals: Counter = Counter()
-        for signatures in per_query:
-            for canonical, size in signatures:
-                totals[canonical] += 1
-                operator_counts.setdefault(canonical, size)
-        occurrences = {canonical: n for canonical, n in totals.items() if n > 1}
-
-    shared = sorted(
-        (
-            SharedSubexpression(
-                canonical=canonical,
-                operator_count=operator_counts[canonical],
-                occurrences=count,
-            )
-            for canonical, count in occurrences.items()
-            if count > 1
-        ),
-        key=lambda expression: (-expression.benefit, expression.canonical),
-    )
-    return GlobalPlan(queries=list(queries), shared=shared, comparisons=comparisons)
 
 
 class MemoizingExecutor(Executor):
@@ -195,66 +63,12 @@ class MemoizingExecutor(Executor):
         return len(self.cache)
 
 
-class EMQOEvaluator(Evaluator):
-    """Multiple-query optimisation over the distinct source queries (``e-MQO``)."""
+class EMQOEvaluator(WholeQueryEvaluator):
+    """Multiple-query optimisation over the distinct source queries (``e-MQO``).
+
+    e-basic's grouping under a global plan whose sharing is confirmed pair by
+    pair — the faithful, deliberately quadratic planner.
+    """
 
     name = "e-mqo"
-
-    def evaluate(
-        self,
-        query: TargetQuery,
-        mappings: MappingSet,
-        database: Database,
-    ) -> EvaluationResult:
-        stats = ExecutionStats()
-        answers = ProbabilisticAnswer()
-
-        with stats.phase(PHASE_REWRITING):
-            distinct, unmatched_probability = cluster_source_queries(
-                query, mappings, self.links, stats
-            )
-        if unmatched_probability:
-            answers.add_empty(unmatched_probability)
-
-        with stats.phase(PHASE_PLANNING):
-            # The cost-based optimizer runs *before* the MQO analysis so that
-            # shared subexpressions are detected on the plans that actually
-            # execute; its per-fingerprint memo keeps repeated subplans cheap.
-            optimizer = self._optimizer(database)
-            if optimizer is not None:
-                plans = [optimizer.optimize(entry.plan, stats) for entry in distinct]
-            else:
-                plans = [entry.plan for entry in distinct]
-            global_plan = build_global_plan(plans)
-            policy = global_plan.materialization_policy()
-            # A session-owned plan cache (injected shared state) lets the
-            # shared subexpressions of *previous* calls answer this one;
-            # one-shot use keeps the per-evaluation cache sized to the plan.
-            cache = self._shared_cache(database)
-            if cache is None:
-                cache = PlanCache(maxsize=max(1, global_plan.materialisation_points))
-
-        executor = self._executor(
-            database, stats, cache=cache, policy=policy, optimizer=None
-        )
-        for source_query, plan in zip(distinct, plans):
-            with stats.phase(PHASE_EVALUATION):
-                result = executor.execute_query(plan)
-            with stats.phase(PHASE_AGGREGATION):
-                tuples = extract_answers(query, source_query.representative, result)
-                if tuples:
-                    answers.add_tuples(tuples, source_query.probability)
-                else:
-                    answers.add_empty(source_query.probability)
-
-        return self._result(
-            query,
-            answers,
-            stats,
-            distinct_source_queries=len(distinct),
-            shared_subexpressions=global_plan.materialisation_points,
-            plan_comparisons=global_plan.comparisons,
-            plan_cache_hits=stats.plan_cache_hits,
-            plan_cache_misses=stats.plan_cache_misses,
-            operators_saved=stats.operators_saved,
-        )
+    exhaustive = True

@@ -4,53 +4,29 @@ q-sharing avoids reformulating the target query once per mapping.  It first
 *partitions* the mapping set on the target attributes the query uses — all
 mappings of a partition produce the same source query — using the partition
 tree of Algorithm 3.  One *representative* mapping per partition, carrying the
-partition's total probability, is then handed to the *basic* evaluator, so the
+partition's total probability, is then evaluated the *basic* way, so the
 target query is rewritten and executed only once per distinct source query.
 """
 
 from __future__ import annotations
 
-from repro.core.evaluators.base import PHASE_REWRITING, EvaluationResult, Evaluator
-from repro.core.evaluators.basic import BasicEvaluator
+from repro.core.evaluators.whole_query import WholeQueryEvaluator, per_mapping
 from repro.core.partition_tree import partition, represent
-from repro.core.target_query import TargetQuery
-from repro.matching.mappings import MappingSet
-from repro.relational.database import Database
-from repro.relational.stats import ExecutionStats
 
 
-class QSharingEvaluator(Evaluator):
+class QSharingEvaluator(WholeQueryEvaluator):
     """Partition the mappings, then evaluate one source query per partition."""
 
     name = "q-sharing"
 
-    def evaluate(
-        self,
-        query: TargetQuery,
-        mappings: MappingSet,
-        database: Database,
-    ) -> EvaluationResult:
-        partition_stats = ExecutionStats()
-        with partition_stats.phase(PHASE_REWRITING):
-            partitions = partition(query.partition_keys, mappings)
-            partition_stats.count_partitions(len(partitions))
-            representatives = represent(partitions)
+    def source_queries(self, query, mappings, stats):
+        partitions = partition(query.partition_keys, mappings)
+        stats.count_partitions(len(partitions))
+        # Step 3 of Algorithm 1: basic over the representative mappings.
+        return per_mapping(query, represent(partitions), self.links, stats)
 
-        # Step 3 of Algorithm 1: run basic over the representative mappings.
-        basic = BasicEvaluator(
-            links=self.links,
-            engine=self.engine,
-            optimize=self.optimize,
-            parallel=self.parallel,
-        )
-        inner = basic.evaluate_mappings(query, representatives, database)
-
-        stats = partition_stats
-        stats.merge(inner.stats)
-        return self._result(
-            query,
-            inner.answers,
-            stats,
-            partitions=len(partitions),
-            representative_mappings=len(representatives),
-        )
+    def details(self, source_queries, stats):
+        return {
+            "partitions": stats.partitions_created,
+            "representative_mappings": len(source_queries),
+        }

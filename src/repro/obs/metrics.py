@@ -1,18 +1,21 @@
 """Zero-dependency metrics: counters, gauges and bounded histograms.
 
-A :class:`MetricsRegistry` is the session-level aggregation point the
-scattered per-call counters (:class:`~repro.relational.stats.ExecutionStats`,
-:class:`~repro.session.SessionStats`,
-:class:`~repro.relational.plancache.PlanCacheStats`) feed into — it subsumes
-them without replacing them: the legacy counters keep working exactly as
-before, and :meth:`repro.session.Session.metrics` syncs their absolute values
-into the registry at snapshot time (so nothing is ever double-counted).
+A :class:`MetricsRegistry` is the session-level aggregation point.  Events
+are counted where they happen — per call in
+:class:`~repro.relational.stats.ExecutionStats` (merged into the session
+totals), on the cache in :class:`~repro.relational.plancache.PlanCacheStats`,
+in the statistics catalog, in the pool manager — and the registry series for
+them are *read-through views* (:meth:`Counter.set_callback` /
+:meth:`Gauge.set_callback`) registered once per session: every collection
+reads the one stored count, so nothing is double-counted and nothing is
+stale.  Only measurements with no other home (latency histograms, served
+query counts) are recorded on the registry directly.
 
 Instruments are get-or-create by ``(name, labels)``; a disabled registry
 hands out one shared no-op instrument, so instrumented code paths cost a
 single ``enabled`` check when metrics are off.  Snapshots render to JSON and
-to the Prometheus text exposition format (ready for a future serving
-front end's ``/metrics`` endpoint — see ROADMAP.md).
+to the Prometheus text exposition format (the serving front end's
+``metrics`` op).
 """
 
 from __future__ import annotations
@@ -51,58 +54,16 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
 )
 
 
-class Counter:
-    """A monotonically-increasing value (plus :meth:`set_total` for syncing).
+class _Value:
+    """A single number, stored or *read-through*.
 
-    ``set_total`` exists because the engine's legacy counters are the source
-    of truth for several totals (plan-cache hits, operators executed): the
-    registry mirrors their absolute value at snapshot time instead of
-    double-counting increments along both paths.
+    :meth:`set_callback` registers a zero-arg callable evaluated at
+    collection time, so every snapshot observes the live value of a count
+    that is kept where its events happen (the plan cache, the session
+    totals, the pool queues) instead of a copy that is only as fresh as the
+    last sync.
     """
 
-    kind = "counter"
-    __slots__ = ("name", "help", "labels", "_value", "_lock")
-
-    def __init__(self, name: str, help: str = "", labels: dict[str, str] | None = None):
-        self.name = name
-        self.help = help
-        self.labels = dict(labels) if labels else {}
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def inc(self, amount: float = 1) -> None:
-        """Add ``amount`` (negative increments raise — counters only go up)."""
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease (inc {amount})")
-        with self._lock:
-            self._value += amount
-
-    def set_total(self, value: float) -> None:
-        """Mirror an externally-accumulated absolute total."""
-        with self._lock:
-            self._value = value
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def series(self) -> dict[str, Any]:
-        return {"labels": dict(self.labels), "value": self.value}
-
-
-class Gauge:
-    """A value that can go up and down (queue depth, cache entries, rates).
-
-    A gauge can be *read-through*: :meth:`set_callback` registers a zero-arg
-    callable evaluated at collection time, so every snapshot observes the
-    live value instead of whatever the last explicit ``set()`` stored.  A
-    worker-pool queue depth sampled only inside ``Session.metrics()`` would
-    otherwise read stale between snapshots — the callback makes the scrape
-    itself the sampling point.
-    """
-
-    kind = "gauge"
     __slots__ = ("name", "help", "labels", "_value", "_callback", "_lock")
 
     def __init__(self, name: str, help: str = "", labels: dict[str, str] | None = None):
@@ -113,20 +74,8 @@ class Gauge:
         self._callback: Any = None
         self._lock = threading.Lock()
 
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    def inc(self, amount: float = 1) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        with self._lock:
-            self._value -= amount
-
     def set_callback(self, callback) -> None:
-        """Make this gauge read-through: ``callback()`` supplies the value.
+        """Make this instrument read-through: ``callback()`` supplies the value.
 
         Collection falls back to the last stored value if the callback
         raises (a dying pool must not take the whole scrape down with it).
@@ -142,12 +91,45 @@ class Gauge:
         if callback is None:
             return stored
         try:
-            return float(callback())
+            return callback()
         except Exception:  # pragma: no cover - defensive scrape path
             return stored
 
     def series(self) -> dict[str, Any]:
         return {"labels": dict(self.labels), "value": self.value}
+
+
+class Counter(_Value):
+    """A monotonically-increasing value."""
+
+    kind = "counter"
+    __slots__ = ()
+
+    def inc(self, amount: float = 1) -> None:
+        """Add ``amount`` (negative increments raise — counters only go up)."""
+        if amount < 0:
+            raise ValueError(f"counter {self.name!r} cannot decrease (inc {amount})")
+        with self._lock:
+            self._value += amount
+
+
+class Gauge(_Value):
+    """A value that can go up and down (queue depth, cache entries, rates)."""
+
+    kind = "gauge"
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        with self._lock:
+            self._value = value
+
+    def inc(self, amount: float = 1) -> None:
+        with self._lock:
+            self._value += amount
+
+    def dec(self, amount: float = 1) -> None:
+        with self._lock:
+            self._value -= amount
 
 
 class Histogram:
@@ -227,9 +209,6 @@ class _NoopInstrument:
         pass
 
     def set(self, value: float) -> None:
-        pass
-
-    def set_total(self, value: float) -> None:
         pass
 
     def set_callback(self, callback) -> None:

@@ -1,18 +1,13 @@
 """Typed execution configuration for the session-first public API.
 
-:class:`ExecutionPolicy` replaces the stringly-typed ``**options`` sprawl the
-one-shot entry points used to forward three layers deep (``method=``,
-``engine=``, ``optimize=``, ``parallel=``, ``strategy=``, ``cache_size=``,
-...).  A policy is a frozen dataclass validated **eagerly** at construction:
-an unknown method, engine, strategy or option name raises a ``ValueError``
-that lists the valid choices (with a did-you-mean suggestion) instead of
-surfacing as a bare ``KeyError``/``TypeError`` deep inside an evaluator
-constructor.  The same validation serves three boundaries:
+:class:`ExecutionPolicy` is a frozen dataclass validated **eagerly** at
+construction: an unknown method, engine, strategy or option name raises a
+``ValueError`` that lists the valid choices (with a did-you-mean suggestion)
+instead of surfacing as a bare ``KeyError``/``TypeError`` deep inside an
+evaluator constructor.  The same validation serves every boundary:
 
 * ``ExecutionPolicy(...)`` / ``policy.with_overrides(...)`` — the typed path;
-* ``ExecutionPolicy.from_options(method=..., **options)`` — the adapter the
-  legacy ``evaluate``/``evaluate_many``/``evaluate_top_k`` shims run their
-  keyword arguments through;
+* ``repro.connect(scenario, **options)`` — session-level defaults;
 * per-call overrides on :meth:`repro.session.Session.query` and friends.
 
 Every field applies to the evaluators that understand it (``strategy`` to
@@ -40,8 +35,7 @@ def _strategy_names():
 
 #: Algorithm-tuning fields that only certain methods read.  An *explicitly
 #: passed* option from this table combined with an *explicitly chosen*
-#: method that ignores it is rejected (the old one-shot API raised a bare
-#: ``TypeError`` for the same mistake) — silently dropping it would let a
+#: method that ignores it is rejected — silently dropping it would let a
 #: user believe they ran a different configuration.  The remaining fields
 #: (``engine``, ``optimize``, ``parallel``, ``cache_size``, ``k``) configure
 #: session-level machinery every method shares and are never rejected.
@@ -49,7 +43,6 @@ _METHOD_ONLY_OPTIONS: dict[str, tuple[str, ...]] = {
     "strategy": ("o-sharing", TOP_K_METHOD, "anytime"),
     "seed": ("o-sharing", TOP_K_METHOD, "anytime"),
     "prune_empty": ("o-sharing",),
-    "exhaustive_planning": ("batch",),
     # Only the explicit-override path is gated: ExecutionPolicy(k=...) or
     # ExecutionPolicy(cache_size=...) as session-level defaults bypass
     # check_applicable (a session's plan cache serves batch AND e-mqo).
@@ -137,9 +130,6 @@ class ExecutionPolicy:
     cache_size:
         Bound of the session-owned plan cache (entries, LRU-evicted); also
         the batch evaluator's cache bound outside a session.
-    exhaustive_planning:
-        Use e-MQO's quadratic pairwise confirmation in the batch evaluator's
-        global planning instead of linear occurrence counting.
     k:
         Answer count for ``"top-k"`` (and the default ``k`` of
         :meth:`~repro.session.Session.top_k`).
@@ -175,7 +165,6 @@ class ExecutionPolicy:
     prune_empty: bool = True
     parallel: Any = None
     cache_size: int = 4096
-    exhaustive_planning: bool = False
     k: int | None = None
     budget: Any = None
     trace: bool = False
@@ -237,57 +226,37 @@ class ExecutionPolicy:
         """The valid option/field names (shared by every validation boundary)."""
         return tuple(f.name for f in fields(cls))
 
-    @classmethod
-    def _build(
-        cls, base: "ExecutionPolicy | None", options: dict[str, Any]
-    ) -> "ExecutionPolicy":
-        """Name-validated construction shared by every options boundary."""
-        valid = cls.option_names()
-        unknown = [name for name in options if name not in valid]
-        if unknown:
-            name = unknown[0]
-            raise ValueError(
-                f"unknown option {name!r}{suggest(name, valid)} "
-                f"(valid options: {sorted(valid)})"
-            )
-        if base is None:
-            return cls(**options)
-        return replace(base, **options)
-
-    @classmethod
-    def from_options(cls, base: "ExecutionPolicy | None" = None, **options: Any) -> "ExecutionPolicy":
-        """Build a policy from loose keyword options, validating every name.
-
-        This is the boundary the legacy one-shot shims (and per-call
-        overrides) run their ``**options`` through: an option that is not a
-        policy field raises a ``ValueError`` listing the valid names with a
-        did-you-mean suggestion, *before* anything is constructed.
-        """
-        policy = cls._build(base, options)
-        if "method" in options:
-            # An explicit method + an explicit option it ignores is a
-            # misconfiguration, not a default to fall back on.
-            check_applicable(policy.method, (n for n in options if n != "method"))
-        return policy
-
-    def with_overrides(self, **options: Any) -> "ExecutionPolicy":
-        """A copy with ``options`` applied (same validation as construction)."""
-        if not options:
-            return self
-        return type(self).from_options(self, **options)
-
     def with_defaults(self, **options: Any) -> "ExecutionPolicy":
         """A copy with *session-level configuration* applied.
 
-        Names are validated exactly like :meth:`with_overrides`, but
-        method-applicability is not enforced: a field set here (``k``,
-        ``strategy``, ...) is a default for whichever later calls read it,
-        not a per-call request — ``repro.connect(scenario, method="e-basic",
-        k=10)`` legitimately configures ``k`` for future ``top_k()`` calls.
+        An option that is not a policy field raises a ``ValueError`` listing
+        the valid names with a did-you-mean suggestion; the new values are
+        validated like construction.  Method-applicability is not enforced: a
+        field set here (``k``, ``strategy``, ...) is a default for whichever
+        later calls read it, not a per-call request —
+        ``repro.connect(scenario, method="e-basic", k=10)`` legitimately
+        configures ``k`` for future ``top_k()`` calls.
         """
-        if not options:
-            return self
-        return type(self)._build(self, options)
+        valid = self.option_names()
+        for name in options:
+            if name not in valid:
+                raise ValueError(
+                    f"unknown option {name!r}{suggest(name, valid)} "
+                    f"(valid options: {sorted(valid)})"
+                )
+        return replace(self, **options) if options else self
+
+    def with_overrides(self, **options: Any) -> "ExecutionPolicy":
+        """A copy with per-call ``options`` applied.
+
+        Validated like :meth:`with_defaults`; in addition an explicit method
+        together with an explicit option it ignores is a misconfiguration,
+        not a default to fall back on, and is rejected.
+        """
+        policy = self.with_defaults(**options)
+        if "method" in options:
+            check_applicable(policy.method, (n for n in options if n != "method"))
+        return policy
 
     def describe(self) -> dict[str, Any]:
         """A JSON-safe rendering of every field (serving/introspection).
@@ -328,5 +297,4 @@ class ExecutionPolicy:
             options["budget"] = self.budget
         if method == "batch":
             options["cache_size"] = self.cache_size
-            options["exhaustive_planning"] = self.exhaustive_planning
         return options

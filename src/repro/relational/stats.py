@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 from repro.obs.trace import current_tracer
@@ -170,57 +170,22 @@ class ExecutionStats:
         return sum(self.phase_seconds.values())
 
     def merge(self, other: "ExecutionStats") -> None:
-        """Fold another stats object into this one."""
-        self.operators.update(other.operators)
-        self.source_queries += other.source_queries
-        self.source_operators += other.source_operators
-        self.reformulations += other.reformulations
-        self.partitions_created += other.partitions_created
-        self.rows_scanned += other.rows_scanned
-        self.rows_output += other.rows_output
-        self.plan_cache_hits += other.plan_cache_hits
-        self.plan_cache_misses += other.plan_cache_misses
-        self.operators_saved += other.operators_saved
-        self.plans_optimized += other.plans_optimized
-        self.optimizer_memo_hits += other.optimizer_memo_hits
-        self.optimizer_rules.update(other.optimizer_rules)
-        self.join_orders_considered += other.join_orders_considered
-        self.estimated_rows += other.estimated_rows
-        self.entries_patched += other.entries_patched
-        self.entries_invalidated += other.entries_invalidated
-        self.stats_refreshed_incrementally += other.stats_refreshed_incrementally
-        self.eunits_created += other.eunits_created
-        self.eunits_pruned += other.eunits_pruned
-        self.mappings_evaluated += other.mappings_evaluated
-        for name, seconds in other.phase_seconds.items():
-            self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
+        """Fold another stats object into this one (every field, summed)."""
+        for name in _FIELD_NAMES:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if isinstance(mine, dict):
+                for key, amount in theirs.items():
+                    mine[key] = mine.get(key, 0) + amount
+            else:
+                setattr(self, name, mine + theirs)
 
     def snapshot(self) -> dict:
         """A plain-dict snapshot used by the benchmark reporting layer."""
-        return {
-            "operators": dict(self.operators),
-            "source_queries": self.source_queries,
-            "source_operators": self.source_operators,
-            "reformulations": self.reformulations,
-            "partitions_created": self.partitions_created,
-            "rows_scanned": self.rows_scanned,
-            "rows_output": self.rows_output,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-            "operators_saved": self.operators_saved,
-            "plans_optimized": self.plans_optimized,
-            "optimizer_memo_hits": self.optimizer_memo_hits,
-            "optimizer_rules": dict(self.optimizer_rules),
-            "join_orders_considered": self.join_orders_considered,
-            "estimated_rows": self.estimated_rows,
-            "entries_patched": self.entries_patched,
-            "entries_invalidated": self.entries_invalidated,
-            "stats_refreshed_incrementally": self.stats_refreshed_incrementally,
-            "eunits_created": self.eunits_created,
-            "eunits_pruned": self.eunits_pruned,
-            "mappings_evaluated": self.mappings_evaluated,
-            "phase_seconds": dict(self.phase_seconds),
-        }
+        snapshot = {}
+        for name in _FIELD_NAMES:
+            value = getattr(self, name)
+            snapshot[name] = dict(value) if isinstance(value, dict) else value
+        return snapshot
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         phases = ", ".join(f"{name}={seconds:.3f}s" for name, seconds in self.phase_seconds.items())
@@ -229,3 +194,8 @@ class ExecutionStats:
             f"source_operators={self.source_operators}, "
             f"reformulations={self.reformulations}, phases=[{phases}])"
         )
+
+
+#: The counters, in declaration order: ``merge`` and ``snapshot`` cover
+#: exactly the dataclass fields, so a new counter is declared once.
+_FIELD_NAMES = tuple(f.name for f in fields(ExecutionStats))

@@ -2,11 +2,9 @@
 
 The paper's point (conf_icde_ChengGCC12) is that probabilistic queries over
 uncertain mappings are dominated by *redundant* work that sharing amortises.
-The one-shot entry points (``evaluate``/``evaluate_many``/``evaluate_top_k``)
-could only share within a single call: every call rebuilt the evaluator, plan
-cache, statistics catalog, optimizer memo and worker pools, then threw them
-away.  A :class:`Session` is the serving-engine shape instead — a long-lived
-connection to one ``(database, mappings)`` pair owning all cross-query state:
+A :class:`Session` is the serving-engine shape of that idea and the one way
+to evaluate a query — a long-lived connection to one ``(database, mappings)``
+pair owning all cross-query state:
 
 * one bounded :class:`~repro.relational.plancache.PlanCache`, attached to the
   database's invalidation hooks (a ``set_relation`` drops exactly the
@@ -42,18 +40,20 @@ and yields results while every cache stays warm.  Sessions are thread-safe —
 concurrent ``query()`` calls share the lock-guarded plan cache, optimizer
 memo and pools.
 
-Answers are byte-identical to the one-shot API (the differential harness
-asserts warm-vs-cold parity for every evaluator × engine); only the work
-performed shrinks as the session warms up.
+Answers on a warm session are byte-identical to a fresh one's (the
+differential harness asserts warm-vs-cold parity for every evaluator ×
+engine); only the work performed shrinks as the session warms up.
 """
 
 from __future__ import annotations
 
 import logging
 import threading
+import weakref
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -80,10 +80,11 @@ class SessionStats:
 
     ``totals`` is a point-in-time *copy* of the cumulative
     :class:`ExecutionStats` of every call the session served (later calls do
-    not mutate a snapshot you hold); ``plan_cache`` is a point-in-time
-    snapshot of the session-owned cache (hits, misses, evictions,
-    invalidations, hit rate, operators saved).  Build one via
-    :attr:`Session.stats`.
+    not mutate a snapshot you hold), with the write-maintenance counters —
+    which accrue on the plan cache and the statistics catalog, not in any
+    call — filled in; ``plan_cache`` is a point-in-time snapshot of the
+    session-owned cache (hits, misses, evictions, invalidations, hit rate,
+    operators saved).  Build one via :attr:`Session.stats`.
     """
 
     #: single queries served (``query``/``top_k``/``serve`` items)
@@ -98,13 +99,21 @@ class SessionStats:
     optimizer_memo_entries: int
     #: worker pools the session has actually started (lazily)
     pools_started: int
-    #: plan-cache entries delta-patched in place by writes (kept warm)
-    entries_patched: int = 0
-    #: plan-cache entries dropped by write/replace invalidation
-    entries_invalidated: int = 0
-    #: statistics-catalog entries refreshed from an append delta instead of
-    #: a full profiling pass
-    stats_refreshed_incrementally: int = 0
+
+    @property
+    def entries_patched(self) -> int:
+        """Plan-cache entries delta-patched in place by writes (kept warm)."""
+        return self.totals.entries_patched
+
+    @property
+    def entries_invalidated(self) -> int:
+        """Plan-cache entries dropped by write/replace invalidation."""
+        return self.totals.entries_invalidated
+
+    @property
+    def stats_refreshed_incrementally(self) -> int:
+        """Statistics-catalog entries refreshed from an append delta, not a full pass."""
+        return self.totals.stats_refreshed_incrementally
 
     @property
     def source_operators(self) -> int:
@@ -164,9 +173,9 @@ class Session:
         manager whose pools start lazily and are shut down by
         :meth:`close`.  Pass
         :func:`repro.relational.parallel.default_manager` to share the
-        process-wide pools instead (the legacy one-shot shims do this so a
-        loop of deprecated calls keeps reusing warm worker pools); shared
-        managers are left running on ``close()``.
+        process-wide pools instead (the benchmark harness does, so its
+        session-per-point runs keep reusing warm workers); shared managers
+        are left running on ``close()``.
 
     Sessions are context managers; :meth:`close` is idempotent and detaches
     the plan cache and shuts the worker pools down.  All cross-query state is
@@ -212,19 +221,22 @@ class Session:
         #: per-query span trees when ``policy.trace`` is on (``None`` keeps
         #: every instrumented call site on its strict no-op path)
         self.tracer = Tracer() if policy.trace else None
-        #: the session :class:`~repro.obs.metrics.MetricsRegistry`; read it
-        #: through :meth:`metrics`, which syncs the legacy absolute counters
-        #: into the registry before snapshotting
+        #: the session :class:`~repro.obs.metrics.MetricsRegistry`.  The
+        #: series of :data:`_METRIC_VIEWS` are read-through: every collection
+        #: (:meth:`metrics`, or a serving front end snapshotting the registry
+        #: directly) reads the counts where they are kept.
         self.metrics_registry = MetricsRegistry(enabled=policy.metrics)
-        # Queue depth is a read-through gauge: it used to be sampled only
-        # inside metrics(), so a scrape that snapshotted the registry
-        # directly between metrics() calls read a stale depth.  The callback
-        # makes every collection (ours or a serving front end's) observe the
-        # live pool queues.
-        self.metrics_registry.gauge(
-            "repro_pool_queue_depth",
-            "Tasks submitted to the session worker pools but not yet running.",
-        ).set_callback(self.pools.queue_depth)
+        # A weak reference: the registry the session owns must not keep the
+        # session (and its plan cache) alive in a reference cycle.
+        session = weakref.proxy(self)
+        for name, help_text, labels, read in _METRIC_VIEWS:
+            # Prometheus convention: a counter is a series named *_total.
+            register = (
+                self.metrics_registry.counter
+                if name.endswith("_total")
+                else self.metrics_registry.gauge
+            )
+            register(name, help_text, labels=labels).set_callback(partial(read, session))
         #: the most recent requests :meth:`serve` flagged as slow (bounded)
         self.slow_queries: deque[dict[str, Any]] = deque(maxlen=128)
         self._shared = SharedState(
@@ -322,8 +334,8 @@ class Session:
 
         ``overrides`` are per-call policy changes (``method=``, ``engine=``,
         ``optimize=``, ...), validated eagerly with did-you-mean errors.
-        Returns the same :class:`EvaluationResult` the one-shot API returns —
-        byte-identical answers, served through the session's warm caches.
+        Returns an :class:`EvaluationResult`; a warm session returns
+        byte-identical answers to a fresh one, having done less work.
 
         Two budget conveniences route to the anytime evaluator: ``budget=``
         (a :class:`~repro.anytime.budget.Budget` or a dict of its fields)
@@ -653,11 +665,11 @@ class Session:
             totals.merge(self._totals)
             queries = self._queries
             workloads = self._workloads
-        # The delta counters accrue on the session-owned caches (writes
-        # arrive through Database hooks, not through evaluator calls), so
-        # they are promoted into the snapshot copy — via the cache's *locked*
-        # snapshot, so a concurrent hit can never be observed half-recorded
-        # (hits incremented, operators_saved not yet).
+        # The write-maintenance counters accrue where writes are handled
+        # (they arrive through Database hooks, not through evaluator calls),
+        # so they are filled into the snapshot copy — from the cache's
+        # *locked* snapshot, so a concurrent hit can never be observed
+        # half-recorded (hits incremented, operators_saved not yet).
         cache = self.plan_cache.stats_snapshot()
         totals.entries_patched = cache["patches"]
         totals.entries_invalidated = cache["invalidations"]
@@ -671,109 +683,19 @@ class Session:
             plan_cache=cache,
             optimizer_memo_entries=len(self.optimizer),
             pools_started=self.pools.started_pools,
-            entries_patched=totals.entries_patched,
-            entries_invalidated=totals.entries_invalidated,
-            stats_refreshed_incrementally=totals.stats_refreshed_incrementally,
         )
 
     def metrics(self) -> MetricsSnapshot:
         """A point-in-time :class:`~repro.obs.metrics.MetricsSnapshot`.
 
-        Before snapshotting, the legacy absolute counters (plan cache,
-        lifetime totals, pools, optimizer memo) are mirrored into the
-        registry via ``set_total``/``set`` — the engine's own counters stay
-        the source of truth and nothing is double-counted.  The snapshot
-        renders to JSON (``to_json()``) and Prometheus text format
+        The same as snapshotting :attr:`metrics_registry` directly: cache,
+        lifetime-total, optimizer and pool series read through to the
+        engine's own counters at collection time.  The snapshot renders to
+        JSON (``to_json()``) and Prometheus text format
         (``to_prometheus()``); with ``policy.metrics`` off it is empty and
         flagged ``enabled=False``.
         """
-        registry = self.metrics_registry
-        if not registry.enabled:
-            return registry.snapshot()
-        cache = self.plan_cache.stats_snapshot()
-        with self._lock:
-            source_queries = self._totals.source_queries
-            source_operators = self._totals.source_operators
-            reformulations = self._totals.reformulations
-            plans_optimized = self._totals.plans_optimized
-            memo_hits = self._totals.optimizer_memo_hits
-            eunits_created = self._totals.eunits_created
-            eunits_pruned = self._totals.eunits_pruned
-            mappings_evaluated = self._totals.mappings_evaluated
-        counter, gauge = registry.counter, registry.gauge
-        counter(
-            "repro_plan_cache_lookups_total",
-            "Plan-cache probes, by outcome.",
-            labels={"outcome": "hit"},
-        ).set_total(cache["hits"])
-        counter(
-            "repro_plan_cache_lookups_total",
-            "Plan-cache probes, by outcome.",
-            labels={"outcome": "miss"},
-        ).set_total(cache["misses"])
-        counter(
-            "repro_plan_cache_evictions_total", "Plan-cache LRU evictions."
-        ).set_total(cache["evictions"])
-        counter(
-            "repro_plan_cache_invalidations_total",
-            "Plan-cache entries dropped by write invalidation.",
-        ).set_total(cache["invalidations"])
-        counter(
-            "repro_plan_cache_patches_total",
-            "Plan-cache entries delta-patched in place by writes.",
-        ).set_total(cache["patches"])
-        counter(
-            "repro_operators_saved_total",
-            "Source operators cache hits avoided executing.",
-        ).set_total(cache["operators_saved"])
-        gauge(
-            "repro_plan_cache_entries", "Entries currently cached."
-        ).set(cache["entries"])
-        gauge(
-            "repro_plan_cache_hit_rate",
-            "Fraction of plan-cache probes answered without execution.",
-        ).set(cache["hit_rate"])
-        counter(
-            "repro_source_queries_total", "Source queries executed."
-        ).set_total(source_queries)
-        counter(
-            "repro_source_operators_total", "Source operators executed."
-        ).set_total(source_operators)
-        counter(
-            "repro_reformulations_total", "Query reformulations performed."
-        ).set_total(reformulations)
-        counter(
-            "repro_plans_optimized_total", "Plans run through the optimizer."
-        ).set_total(plans_optimized)
-        counter(
-            "repro_optimizer_memo_hits_total", "Optimizer memo hits."
-        ).set_total(memo_hits)
-        counter(
-            "repro_eunits_created_total",
-            "E-units created in u-traces (o-sharing/top-k/anytime).",
-        ).set_total(eunits_created)
-        counter(
-            "repro_eunits_pruned_total",
-            "E-units discarded through the empty-intermediate shortcut.",
-        ).set_total(eunits_pruned)
-        counter(
-            "repro_mappings_evaluated_total",
-            "Mappings carried by created e-units (anytime progress signal).",
-        ).set_total(mappings_evaluated)
-        gauge(
-            "repro_optimizer_memo_entries", "Plans currently memoized."
-        ).set(len(self.optimizer))
-        counter(
-            "repro_stats_incremental_refreshes_total",
-            "Statistics-catalog entries refreshed from an append delta.",
-        ).set_total(self.database.stats_catalog.incremental_refreshes)
-        # repro_pool_queue_depth is registered as a read-through gauge in
-        # __init__ (its callback samples the pools at collection time), so
-        # there is nothing to sync here.
-        gauge(
-            "repro_pools_started", "Worker pools the session has started."
-        ).set(self.pools.started_pools)
-        return registry.snapshot()
+        return self.metrics_registry.snapshot()
 
     @property
     def stats_catalog(self):
@@ -786,6 +708,143 @@ class Session:
             f"Session({self.database!r}, mappings={getattr(self.mappings, 'size', '?')}, "
             f"method={self.policy.method!r}, {state})"
         )
+
+
+def _cache_stat(key: str):
+    """Read one key of the plan cache's lock-guarded statistics snapshot."""
+    return lambda session: session.plan_cache.stats_snapshot()[key]
+
+
+def _lifetime_total(name: str):
+    """Read one counter of the session's cumulative :class:`ExecutionStats`."""
+    return lambda session: getattr(session._totals, name)
+
+
+#: The registry series that are views of counts kept where their events
+#: happen: ``(name, help, labels, read(session))``, registered once per
+#: session.  Nothing else about these series exists anywhere.
+_METRIC_VIEWS = (
+    (
+        "repro_plan_cache_lookups_total",
+        "Plan-cache probes, by outcome.",
+        {"outcome": "hit"},
+        _cache_stat("hits"),
+    ),
+    (
+        "repro_plan_cache_lookups_total",
+        "Plan-cache probes, by outcome.",
+        {"outcome": "miss"},
+        _cache_stat("misses"),
+    ),
+    (
+        "repro_plan_cache_evictions_total",
+        "Plan-cache LRU evictions.",
+        None,
+        _cache_stat("evictions"),
+    ),
+    (
+        "repro_plan_cache_invalidations_total",
+        "Plan-cache entries dropped by write invalidation.",
+        None,
+        _cache_stat("invalidations"),
+    ),
+    (
+        "repro_plan_cache_patches_total",
+        "Plan-cache entries delta-patched in place by writes.",
+        None,
+        _cache_stat("patches"),
+    ),
+    (
+        "repro_operators_saved_total",
+        "Source operators cache hits avoided executing.",
+        None,
+        _cache_stat("operators_saved"),
+    ),
+    (
+        "repro_plan_cache_entries",
+        "Entries currently cached.",
+        None,
+        _cache_stat("entries"),
+    ),
+    (
+        "repro_plan_cache_hit_rate",
+        "Fraction of plan-cache probes answered without execution.",
+        None,
+        _cache_stat("hit_rate"),
+    ),
+    (
+        "repro_source_queries_total",
+        "Source queries executed.",
+        None,
+        _lifetime_total("source_queries"),
+    ),
+    (
+        "repro_source_operators_total",
+        "Source operators executed.",
+        None,
+        _lifetime_total("source_operators"),
+    ),
+    (
+        "repro_reformulations_total",
+        "Query reformulations performed.",
+        None,
+        _lifetime_total("reformulations"),
+    ),
+    (
+        "repro_plans_optimized_total",
+        "Plans run through the optimizer.",
+        None,
+        _lifetime_total("plans_optimized"),
+    ),
+    (
+        "repro_optimizer_memo_hits_total",
+        "Optimizer memo hits.",
+        None,
+        _lifetime_total("optimizer_memo_hits"),
+    ),
+    (
+        "repro_eunits_created_total",
+        "E-units created in u-traces (o-sharing/top-k/anytime).",
+        None,
+        _lifetime_total("eunits_created"),
+    ),
+    (
+        "repro_eunits_pruned_total",
+        "E-units discarded through the empty-intermediate shortcut.",
+        None,
+        _lifetime_total("eunits_pruned"),
+    ),
+    (
+        "repro_mappings_evaluated_total",
+        "Mappings carried by created e-units (anytime progress signal).",
+        None,
+        _lifetime_total("mappings_evaluated"),
+    ),
+    (
+        "repro_optimizer_memo_entries",
+        "Plans currently memoized.",
+        None,
+        lambda session: len(session.optimizer),
+    ),
+    (
+        "repro_stats_incremental_refreshes_total",
+        "Statistics-catalog entries refreshed from an append delta.",
+        None,
+        lambda session: session.database.stats_catalog.incremental_refreshes,
+    ),
+    (
+        "repro_pool_queue_depth",
+        "Tasks submitted to the session worker pools but not yet running.",
+        None,
+        lambda session: float(session.pools.queue_depth()),
+    ),
+    (
+        "repro_pools_started",
+        "Worker pools the session has started.",
+        None,
+        lambda session: session.pools.started_pools,
+    ),
+)
 
 
 def _validated_policy(policy: ExecutionPolicy | None) -> ExecutionPolicy:

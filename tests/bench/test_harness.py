@@ -107,16 +107,11 @@ class TestRunners:
         assert points[0].answers == points[1].answers
 
     def test_point_from_result_uses_phase_time_by_default(self, excel_scenario):
-        from repro.core import evaluate
+        from repro import connect
 
         query = paper_query("Q1", excel_scenario.target_schema)
-        result = evaluate(
-            query,
-            excel_scenario.mappings,
-            excel_scenario.database,
-            method="q-sharing",
-            links=excel_scenario.links,
-        )
+        with connect(excel_scenario, method="q-sharing") as session:
+            result = session.query(query)
         point = point_from_result(result, x=1)
         assert point.method == "q-sharing"
         assert point.seconds == pytest.approx(result.elapsed_seconds)

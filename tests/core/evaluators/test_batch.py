@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.core import evaluate, evaluate_many, make_evaluator
+from repro import connect
+from repro.bench.harness import cold_query
+from repro.core import make_evaluator
+from repro.core.evaluators import build_global_plan, per_distinct_plan
 from repro.core.evaluators.batch import BatchEvaluator
+from repro.relational.stats import ExecutionStats
 from repro.workloads import paper_query
 
 
@@ -16,12 +20,8 @@ def workload(excel_scenario):
 
 @pytest.fixture(scope="module")
 def batch_result(excel_scenario, workload):
-    return evaluate_many(
-        workload,
-        excel_scenario.mappings,
-        excel_scenario.database,
-        links=excel_scenario.links,
-    )
+    with connect(excel_scenario) as session:
+        return session.query_many(workload)
 
 
 class TestEquivalence:
@@ -30,13 +30,7 @@ class TestEquivalence:
         self, excel_scenario, workload, batch_result, method
     ):
         for query, result in zip(workload, batch_result.results):
-            reference = evaluate(
-                query,
-                excel_scenario.mappings,
-                excel_scenario.database,
-                method=method,
-                links=excel_scenario.links,
-            )
+            reference = cold_query(query, excel_scenario, method)
             assert reference.answers.equals(result.answers), (
                 f"{method} disagrees on {query.name}: "
                 f"{reference.answers.difference(result.answers)}"
@@ -48,13 +42,7 @@ class TestEquivalence:
         result = evaluator.evaluate(
             query, excel_scenario.mappings, excel_scenario.database
         )
-        reference = evaluate(
-            query,
-            excel_scenario.mappings,
-            excel_scenario.database,
-            method="e-basic",
-            links=excel_scenario.links,
-        )
+        reference = cold_query(query, excel_scenario, "e-basic")
         assert reference.answers.equals(result.answers)
 
     def test_registered_in_evaluator_registry(self, excel_scenario):
@@ -67,13 +55,7 @@ class TestSharing:
         self, excel_scenario, workload, batch_result
     ):
         independent = sum(
-            evaluate(
-                query,
-                excel_scenario.mappings,
-                excel_scenario.database,
-                method="e-mqo",
-                links=excel_scenario.links,
-            ).stats.source_operators
+            cold_query(query, excel_scenario, "e-mqo").stats.source_operators
             for query in workload
         )
         assert batch_result.source_operators < independent
@@ -103,36 +85,29 @@ class TestSharing:
         assert summary["plan_cache_hits"] == batch_result.plan_cache["hits"]
 
     def test_exhaustive_planning_selects_same_sharing(self, excel_scenario, workload):
-        exhaustive = evaluate_many(
-            workload,
-            excel_scenario.mappings,
-            excel_scenario.database,
-            links=excel_scenario.links,
-            exhaustive_planning=True,
-        )
-        fast = evaluate_many(
-            workload,
-            excel_scenario.mappings,
-            excel_scenario.database,
-            links=excel_scenario.links,
-        )
-        assert exhaustive.source_operators == fast.source_operators
-        assert (
-            exhaustive.details["shared_subexpressions"]
-            == fast.details["shared_subexpressions"]
-        )
-        assert exhaustive.details["plan_comparisons"] > 0
-        assert fast.details["plan_comparisons"] == 0
+        # e-MQO's pairwise confirmation and batch's occurrence counting pick
+        # the same materialisation points over the workload's source plans.
+        plans = [
+            entry.plan
+            for query in workload
+            for entry in per_distinct_plan(
+                query, excel_scenario.mappings, excel_scenario.links, ExecutionStats()
+            )
+            if entry.plan is not None
+        ]
+        exhaustive = build_global_plan(plans, exhaustive=True)
+        fast = build_global_plan(plans, exhaustive=False)
+        assert exhaustive.shared == fast.shared
+        assert fast.materialisation_points > 0
+        assert exhaustive.comparisons > 0
+        assert fast.comparisons == 0
 
 
 class TestInvalidation:
     def test_cache_detached_after_evaluate_many(self, excel_scenario, workload):
         database = excel_scenario.database
         before = len(database.index_catalog._listeners)
-        evaluate_many(
-            workload,
-            excel_scenario.mappings,
-            database,
-            links=excel_scenario.links,
+        BatchEvaluator(links=excel_scenario.links).evaluate_many(
+            workload, excel_scenario.mappings, database
         )
         assert len(database.index_catalog._listeners) == before

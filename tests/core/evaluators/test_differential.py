@@ -25,6 +25,12 @@ invariant from three directions at once:
   work counters for every selection strategy (``random`` included) on every
   engine, and a budgeted drive settles a prefix of the unbudgeted one.
 
+* **grouping equivalence** — e-basic, e-MQO and ``batch`` of one query, and
+  q-sharing and *basic* over the partition representatives, are the same
+  grouping over one whole-query core (``repro.core.evaluators.whole_query``)
+  under different sharing rules: byte-identical answers and equal
+  reformulation / source-query counts on every engine, optimizer on and off.
+
 The sampled space covers all three target schemas, the Table III paper
 queries, generated selection chains and product queries, and varying mapping
 counts.
@@ -36,14 +42,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import evaluate
+from repro import ExecutionPolicy, Session, connect
+from repro.bench.harness import cold_query
 from repro.core.answer import PROBABILITY_TOLERANCE
 from repro.core.evaluators import EVALUATORS
 from repro.core.evaluators.anytime import AnytimeEvaluator
+from repro.core.evaluators.basic import BasicEvaluator
 from repro.core.evaluators.osharing import OSharingEvaluator
 from repro.core.evaluators.topk import TopKEvaluator
+from repro.core.partition_tree import partition_and_represent
 from repro.datagen.scenario import MatchingScenario, build_scenario
 from repro.relational.executor import available_engines
+from repro.relational.parallel import default_manager
 
 # The engines axis adapts to the install: without NumPy the vector
 # engine cannot be constructed, and the remaining engines must still
@@ -102,6 +112,16 @@ def _answer_map(result):
     return dict(result.answers.items())
 
 
+def _cold(scenario, **options):
+    """A fresh session — nothing warm — on the process-wide worker pools."""
+    return connect(scenario, pools=default_manager(), **options)
+
+
+def _cold_query_many(queries, scenario, **options):
+    with _cold(scenario) as session:
+        return session.query_many(queries, **options)
+
+
 @settings(
     max_examples=10,
     deadline=None,
@@ -110,27 +130,13 @@ def _answer_map(result):
 @given(case=differential_cases())
 def test_all_evaluators_engines_and_optimizer_agree(case):
     label, query, scenario = case
-    reference = evaluate(
-        query,
-        scenario.mappings,
-        scenario.database,
-        method="basic",
-        links=scenario.links,
-        engine="row",
-        optimize=False,
-    )
+    reference = cold_query(query, scenario, method="basic", engine="row", optimize=False)
     for method in ALL_EVALUATORS:
         variants = {}
         for engine in ENGINES:
             for optimize in (True, False):
-                result = evaluate(
-                    query,
-                    scenario.mappings,
-                    scenario.database,
-                    method=method,
-                    links=scenario.links,
-                    engine=engine,
-                    optimize=optimize,
+                result = cold_query(
+                    query, scenario, method=method, engine=engine, optimize=optimize
                 )
                 variants[(engine, optimize)] = result
                 problems = reference.answers.difference(result.answers)
@@ -216,20 +222,61 @@ def test_utrace_schedules_agree(case, seed):
             assert half.stats.source_operators <= exact.stats.source_operators, where
 
 
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(case=differential_cases())
+def test_whole_query_groupings_agree(case):
+    """The whole-query core: evaluators that differ only in sharing agree byte for byte.
+
+    e-basic, e-MQO and ``batch`` of one query run the same distinct source
+    queries in the same order; q-sharing is *basic* over the partition tree's
+    representatives; and a workload returns per query what ``query`` returns.
+    """
+    label, query, scenario = case
+    representatives = partition_and_represent(query.partition_keys, scenario.mappings)
+    target = scenario.target_schema
+    queries = [query] + [paper_query(i, target) for i in _QUERY_IDS[target.name][:2]]
+    workload = queries + queries[:2]
+    for engine in ENGINES:
+        for optimize in (True, False):
+            options = dict(engine=engine, optimize=optimize)
+            where = f"[{label}] {engine}(optimize={optimize})"
+            ebasic, emqo, batch = (
+                cold_query(query, scenario, method=method, **options)
+                for method in ("e-basic", "e-mqo", "batch")
+            )
+            for other in (emqo, batch):
+                assert _exact_bytes(other) == _exact_bytes(ebasic), f"{where}: {other.evaluator}"
+                assert other.stats.reformulations == ebasic.stats.reformulations, where
+                assert (
+                    other.details["distinct_source_queries"]
+                    == ebasic.details["distinct_source_queries"]
+                ), where
+
+            qsharing = cold_query(query, scenario, method="q-sharing", **options)
+            basic = BasicEvaluator(links=scenario.links, **options).evaluate_mappings(
+                query, representatives, scenario.database
+            )
+            assert _exact_bytes(qsharing) == _exact_bytes(basic), where
+            assert qsharing.stats.source_queries == basic.stats.source_queries, where
+            assert qsharing.stats.source_operators == basic.stats.source_operators, where
+
+            many = _cold_query_many(workload, scenario, **options)
+            singles = [cold_query(q, scenario, method="batch", **options) for q in queries]
+            for result, single in zip(many.results, singles + singles[:2]):
+                assert _exact_bytes(result) == _exact_bytes(single), where
+
+
 @pytest.mark.parametrize("method", ALL_EVALUATORS)
 def test_engines_report_identical_stats(method, paper_example):
     """Same operators, same row counters, on every engine (deterministic pin)."""
     query = paper_example.q2()
     per_engine = {}
     for engine in ENGINES:
-        per_engine[engine] = evaluate(
-            query,
-            paper_example.mappings,
-            paper_example.database,
-            method=method,
-            links=paper_example.links,
-            engine=engine,
-        )
+        per_engine[engine] = cold_query(query, paper_example, method=method, engine=engine)
     row = per_engine["row"].stats
     for engine in ENGINES[1:]:
         other = per_engine[engine].stats
@@ -255,20 +302,11 @@ def test_parallel_engine_byte_identical_across_shard_counts(method, workers):
 
     scenario = _scenario("Excel")
     query = paper_query(_QUERY_IDS["Excel"][0], scenario.target_schema)
-    reference = evaluate(
+    reference = cold_query(query, scenario, method=method, engine="columnar")
+    result = cold_query(
         query,
-        scenario.mappings,
-        scenario.database,
+        scenario,
         method=method,
-        links=scenario.links,
-        engine="columnar",
-    )
-    result = evaluate(
-        query,
-        scenario.mappings,
-        scenario.database,
-        method=method,
-        links=scenario.links,
         engine="parallel",
         parallel=ParallelConfig(workers=workers, min_partition_rows=0),
     )
@@ -287,16 +325,10 @@ def test_parallel_batch_workload_matches_serial():
         paper_query(query_id, scenario.target_schema)
         for query_id in (_QUERY_IDS["Excel"] + _QUERY_IDS["Excel"])[:6]
     ]
-    from repro.core import evaluate_many
-
-    serial = evaluate_many(
-        queries, scenario.mappings, scenario.database, links=scenario.links
-    )
-    concurrent = evaluate_many(
+    serial = _cold_query_many(queries, scenario)
+    concurrent = _cold_query_many(
         queries,
-        scenario.mappings,
-        scenario.database,
-        links=scenario.links,
+        scenario,
         engine="parallel",
         parallel=ParallelConfig(workers=4, min_partition_rows=0),
     )
@@ -316,45 +348,21 @@ def test_parallel_batch_workload_matches_serial():
 
 @pytest.mark.parametrize("method", ALL_EVALUATORS)
 def test_engine_recorded_in_result_details(method, paper_example):
-    result = evaluate(
-        paper_example.q0(),
-        paper_example.mappings,
-        paper_example.database,
-        method=method,
-        links=paper_example.links,
-    )
+    result = cold_query(paper_example.q0(), paper_example, method=method)
     assert result.details["engine"] == "columnar"
 
 
 def test_unknown_engine_rejected(paper_example):
     with pytest.raises(ValueError, match="unknown engine"):
-        evaluate(
-            paper_example.q0(),
-            paper_example.mappings,
-            paper_example.database,
-            method="basic",
-            links=paper_example.links,
-            engine="vectorised",
+        cold_query(
+            paper_example.q0(), paper_example, method="basic", engine="vectorised"
         )
 
 
 @pytest.mark.parametrize("method", ALL_EVALUATORS)
 def test_optimize_flag_reported_in_details(method, paper_example):
-    on = evaluate(
-        paper_example.q0(),
-        paper_example.mappings,
-        paper_example.database,
-        method=method,
-        links=paper_example.links,
-    )
-    off = evaluate(
-        paper_example.q0(),
-        paper_example.mappings,
-        paper_example.database,
-        method=method,
-        links=paper_example.links,
-        optimize=False,
-    )
+    on = cold_query(paper_example.q0(), paper_example, method=method)
+    off = cold_query(paper_example.q0(), paper_example, method=method, optimize=False)
     assert on.details["optimize"] is True
     assert off.details["optimize"] is False
     if method != "batch":  # batch optimizes in its workload-level planning phase
@@ -363,29 +371,17 @@ def test_optimize_flag_reported_in_details(method, paper_example):
 
 
 def test_batch_workload_stats_count_optimizations(paper_example):
-    from repro.core import evaluate_many
-
-    batch = evaluate_many(
-        [paper_example.q0(), paper_example.q2()],
-        paper_example.mappings,
-        paper_example.database,
-        links=paper_example.links,
-    )
+    workload = [paper_example.q0(), paper_example.q2()]
+    batch = _cold_query_many(workload, paper_example)
     assert batch.stats.plans_optimized > 0
-    off = evaluate_many(
-        [paper_example.q0(), paper_example.q2()],
-        paper_example.mappings,
-        paper_example.database,
-        links=paper_example.links,
-        optimize=False,
-    )
+    off = _cold_query_many(workload, paper_example, optimize=False)
     assert off.stats.plans_optimized == 0
     assert dict(batch.results[0].answers.items()) == dict(off.results[0].answers.items())
     assert dict(batch.results[1].answers.items()) == dict(off.results[1].answers.items())
 
 
 # --------------------------------------------------------------------------- #
-# session parity: warm Session == cold one-shot, for all evaluators × engines
+# session parity: warm Session == fresh Session, for all evaluators × engines
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("method", ALL_EVALUATORS)
 @pytest.mark.parametrize("engine", ENGINES)
@@ -394,32 +390,14 @@ def test_warm_session_matches_cold_one_shot(method, engine, paper_example):
 
     The session serves the *second* round of queries from its persistent
     plan cache / optimizer memo — sharing must change how much work runs,
-    never what it produces.  Cold rounds go through the deprecated one-shot
-    shims, which doubles as their regression pin.
+    never what it produces.  A cold round is one shot: a fresh session per call.
     """
-    from repro import ExecutionPolicy, Session
-    from repro.core import evaluate_many
-
     queries = [paper_example.q0(), paper_example.q2()]
     workload = queries * 2
     cold = [
-        evaluate(
-            query,
-            paper_example.mappings,
-            paper_example.database,
-            method=method,
-            links=paper_example.links,
-            engine=engine,
-        )
-        for query in queries
+        cold_query(query, paper_example, method=method, engine=engine) for query in queries
     ]
-    cold_batch = evaluate_many(
-        workload,
-        paper_example.mappings,
-        paper_example.database,
-        links=paper_example.links,
-        engine=engine,
-    )
+    cold_batch = _cold_query_many(workload, paper_example, engine=engine)
     policy = ExecutionPolicy(method=method, engine=engine)
     with Session(
         paper_example.database,
@@ -434,7 +412,7 @@ def test_warm_session_matches_cold_one_shot(method, engine, paper_example):
 
     for one, first, second in zip(cold, warm_first, warm_second):
         assert _answer_map(one) == _answer_map(first) == _answer_map(second), (
-            f"{method}@{engine}: warm session diverges from cold evaluate"
+            f"{method}@{engine}: warm session diverges from a cold one"
         )
         assert (
             one.answers.empty_probability
@@ -445,7 +423,7 @@ def test_warm_session_matches_cold_one_shot(method, engine, paper_example):
         cold_batch.results, warm_batch_first.results, warm_batch_second.results
     ):
         assert _answer_map(one) == _answer_map(first) == _answer_map(second), (
-            f"{method}@{engine}: warm query_many diverges from cold evaluate_many"
+            f"{method}@{engine}: warm query_many diverges from a cold one"
         )
 
 
@@ -465,8 +443,6 @@ def test_instrumentation_never_changes_answers_or_operators(
     must all match the uninstrumented session exactly — instrumentation only
     observes, it never changes what executes.
     """
-    from repro import ExecutionPolicy, Session
-
     queries = [paper_example.q0(), paper_example.q2()]
     runs = {}
     for trace in (False, True):
@@ -509,17 +485,8 @@ def test_instrumentation_never_changes_answers_or_operators(
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_warm_session_top_k_matches_cold_one_shot(engine, paper_example):
-    from repro import Session
-    from repro.core import evaluate_top_k
-
-    cold = evaluate_top_k(
-        paper_example.q2(),
-        paper_example.mappings,
-        paper_example.database,
-        k=3,
-        links=paper_example.links,
-        engine=engine,
-    )
+    with _cold(paper_example) as session:
+        cold = session.top_k(paper_example.q2(), k=3, engine=engine)
     with Session(
         paper_example.database, paper_example.mappings, links=paper_example.links
     ) as session:
@@ -531,23 +498,12 @@ def test_warm_session_top_k_matches_cold_one_shot(engine, paper_example):
 @pytest.mark.parametrize("method", ALL_EVALUATORS)
 def test_warm_session_matches_cold_on_scenario_queries(method):
     """Session parity on the bigger generated scenario (default engine)."""
-    from repro import connect
-
     scenario = _scenario("Excel")
     queries = [
         paper_query(query_id, scenario.target_schema)
         for query_id in _QUERY_IDS["Excel"][:2]
     ]
-    cold = [
-        evaluate(
-            query,
-            scenario.mappings,
-            scenario.database,
-            method=method,
-            links=scenario.links,
-        )
-        for query in queries
-    ]
+    cold = [cold_query(query, scenario, method=method) for query in queries]
     with connect(scenario, method=method) as session:
         for round_number in range(2):
             for query, reference in zip(queries, cold):
@@ -562,17 +518,8 @@ def test_optimizer_never_executes_more(method):
     """Optimized runs execute no more operators and scan no more rows."""
     scenario = _scenario("Excel")
     query = selection_query(3, scenario.target_schema)
-    on = evaluate(
-        query, scenario.mappings, scenario.database, method=method, links=scenario.links
-    )
-    off = evaluate(
-        query,
-        scenario.mappings,
-        scenario.database,
-        method=method,
-        links=scenario.links,
-        optimize=False,
-    )
+    on = cold_query(query, scenario, method=method)
+    off = cold_query(query, scenario, method=method, optimize=False)
     assert _answer_map(on) == _answer_map(off)
     assert on.stats.source_operators <= off.stats.source_operators
     assert on.stats.rows_scanned <= off.stats.rows_scanned

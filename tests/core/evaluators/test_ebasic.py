@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.evaluators.basic import BasicEvaluator
-from repro.core.evaluators.ebasic import EBasicEvaluator, cluster_source_queries
+from repro.core.evaluators.ebasic import EBasicEvaluator
+from repro.core.evaluators.whole_query import per_distinct_plan
 from repro.relational.stats import ExecutionStats
 
 
@@ -15,28 +16,30 @@ def evaluator(paper_example):
 class TestClustering:
     def test_identical_source_queries_are_grouped(self, paper_example):
         stats = ExecutionStats()
-        distinct, unmatched = cluster_source_queries(
+        distinct = per_distinct_plan(
             paper_example.q0(), paper_example.mappings, paper_example.links, stats
         )
         # m1/m2/m3/m5 differ on addr between oaddr/haddr: m1,m2 share one source
-        # query; m3,m5 share another; m4 is alone -> 3 distinct queries.
+        # query; m3,m5 share another; m4 is alone -> 3 distinct queries, and
+        # no plan-less entry for unmatched mass.
         assert len(distinct) == 3
-        assert unmatched == 0.0
+        assert all(entry.plan is not None for entry in distinct)
         assert stats.reformulations == 5
         probabilities = sorted(round(entry.probability, 6) for entry in distinct)
         assert probabilities == [0.2, 0.3, 0.5]
 
     def test_unmatched_mappings_reported(self, paper_example):
         stats = ExecutionStats()
-        distinct, unmatched = cluster_source_queries(
+        unmatched, *distinct = per_distinct_plan(
             paper_example.q1(), paper_example.mappings, paper_example.links, stats
         )
-        assert unmatched == pytest.approx(0.1)
+        assert unmatched.plan is None
+        assert unmatched.probability == pytest.approx(0.1)
         assert len(distinct) == 2
 
     def test_mapping_counts_tracked(self, paper_example):
         stats = ExecutionStats()
-        distinct, _ = cluster_source_queries(
+        distinct = per_distinct_plan(
             paper_example.q0(), paper_example.mappings, paper_example.links, stats
         )
         assert sorted(entry.mapping_count for entry in distinct) == [1, 2, 2]

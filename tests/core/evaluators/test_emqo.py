@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.evaluators.basic import BasicEvaluator
 from repro.core.evaluators.ebasic import EBasicEvaluator
-from repro.core.evaluators.emqo import EMQOEvaluator, MemoizingExecutor, build_global_plan
+from repro.core.evaluators.emqo import EMQOEvaluator, MemoizingExecutor
+from repro.core.evaluators.whole_query import build_global_plan
 from repro.core.reformulation import reformulate_query
 from repro.relational.algebra import Product, Scan, Select
 from repro.relational.executor import Executor

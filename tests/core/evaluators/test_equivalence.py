@@ -8,7 +8,8 @@ Table III workload and compare the probabilistic answers exactly.
 
 import pytest
 
-from repro.core import evaluate
+from repro import Session
+from repro.bench.harness import cold_query
 from repro.core.evaluators import EVALUATORS
 from repro.workloads import paper_query, product_query, selection_query
 
@@ -17,7 +18,11 @@ SHARING_METHODS = ["e-basic", "q-sharing", "o-sharing"]
 
 
 def assert_all_equal(query, mappings, database, links, methods=ALL_METHODS):
-    reference = evaluate(query, mappings, database, method="basic", links=links)
+    def evaluate_with(method):
+        with Session(database, mappings, links=links) as session:
+            return session.query(query, method=method)
+
+    reference = evaluate_with("basic")
     # Tuple probabilities are marginals (a mapping may produce several answer
     # tuples), so they need not sum to one — but each must be a probability,
     # and the null-answer mass cannot exceed one.
@@ -26,7 +31,7 @@ def assert_all_equal(query, mappings, database, links, methods=ALL_METHODS):
     for method in methods:
         if method == "basic":
             continue
-        result = evaluate(query, mappings, database, method=method, links=links)
+        result = evaluate_with(method)
         problems = reference.answers.difference(result.answers)
         assert reference.answers.equals(result.answers), f"{method}: {problems}"
 
@@ -106,22 +111,8 @@ class TestWorkloadEquivalence:
     @pytest.mark.parametrize("strategy", ["random", "snf", "sef"])
     def test_osharing_strategies_agree_on_workload(self, excel_scenario, strategy):
         query = paper_query("Q5", excel_scenario.target_schema)
-        reference = evaluate(
-            query,
-            excel_scenario.mappings,
-            excel_scenario.database,
-            method="e-basic",
-            links=excel_scenario.links,
-        )
-        result = evaluate(
-            query,
-            excel_scenario.mappings,
-            excel_scenario.database,
-            method="o-sharing",
-            links=excel_scenario.links,
-            strategy=strategy,
-            seed=7,
-        )
+        reference = cold_query(query, excel_scenario, method="e-basic")
+        result = cold_query(query, excel_scenario, method="o-sharing", strategy=strategy, seed=7)
         assert reference.answers.equals(result.answers)
 
 
@@ -136,24 +127,12 @@ class TestProbabilityConservation:
         scenario = scenarios[spec.target]
         query = spec.build(scenario.target_schema)
         for method in ALL_METHODS:
-            result = evaluate(
-                query,
-                scenario.mappings,
-                scenario.database,
-                method=method,
-                links=scenario.links,
-            )
+            result = cold_query(query, scenario, method=method)
             assert result.answers.total_probability == pytest.approx(1.0)
 
     @pytest.mark.parametrize("query_id", ["Q1", "Q4"])
     def test_probabilities_are_well_formed(self, excel_scenario, query_id):
         query = paper_query(query_id, excel_scenario.target_schema)
-        result = evaluate(
-            query,
-            excel_scenario.mappings,
-            excel_scenario.database,
-            method="o-sharing",
-            links=excel_scenario.links,
-        )
+        result = cold_query(query, excel_scenario, method="o-sharing")
         assert all(0.0 < p <= 1.0 + 1e-9 for _, p in result.answers.items())
         assert 0.0 <= result.answers.empty_probability <= 1.0 + 1e-9

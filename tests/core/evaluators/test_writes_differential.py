@@ -7,8 +7,8 @@ registered evaluator × engine, a session is kept warm across an interleaved
 schedule of appends, updates, deletes and one wholesale ``set_relation``,
 and after every write each probe query's warm answer is compared
 *byte-identically* (exact float equality, exact empty-answer mass) against
-a cold one-shot evaluation over a fresh database with the same writes
-replayed — the full-recompute reference the delta path must match.
+a cold evaluation (a fresh session) over a fresh database with the same
+writes replayed — the full-recompute reference the delta path must match.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ExecutionPolicy, Session
-from repro.core import evaluate
+from repro.bench.harness import cold_query
 from repro.core.evaluators import EVALUATORS
 from repro.datagen.paper_example import build_paper_example
 from repro.relational.executor import available_engines
@@ -80,14 +80,7 @@ def test_warm_session_survives_interleaved_writes(method, engine):
             cold_example = _replayed_example(steps)
             for build in (cold_example.q0, cold_example.q2):
                 query = build()
-                cold = evaluate(
-                    query,
-                    cold_example.mappings,
-                    cold_example.database,
-                    method=method,
-                    links=cold_example.links,
-                    engine=engine,
-                )
+                cold = cold_query(query, cold_example, method=method, engine=engine)
                 warm = session.query(query)
                 again = session.query(query)  # serve from whatever stayed warm
                 label = f"{method}@{engine} after {steps} writes ({query.name})"
@@ -128,16 +121,8 @@ def test_delta_patched_session_executes_fewer_operators_than_cold():
 
     cold_costs = 0
     replayed = build_paper_example()
-    cold = evaluate(
-        replayed.q0(), replayed.mappings, replayed.database,
-        method="e-mqo", links=replayed.links,
-    )
-    cold_costs += cold.stats.source_operators
+    cold_costs += cold_query(replayed.q0(), replayed, method="e-mqo").stats.source_operators
     for step in appends:
         _apply(replayed.database, step)
-        cold = evaluate(
-            replayed.q0(), replayed.mappings, replayed.database,
-            method="e-mqo", links=replayed.links,
-        )
-        cold_costs += cold.stats.source_operators
+        cold_costs += cold_query(replayed.q0(), replayed, method="e-mqo").stats.source_operators
     assert warm_cost < cold_costs

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import evaluate
+from repro import Session
 from repro.core.answer import ProbabilisticAnswer
 from repro.core.evaluators.topk import TopKEvaluator
 from repro.core.links import SchemaLinks
@@ -107,19 +107,21 @@ LINKS = SchemaLinks.empty()
 @settings(max_examples=40, deadline=None)
 @given(database=databases(), mappings=mapping_sets(), query=queries())
 def test_all_evaluators_agree_on_random_instances(database, mappings, query):
-    reference = evaluate(query, mappings, database, method="basic", links=LINKS)
-    for method in ("e-basic", "e-mqo", "q-sharing", "o-sharing"):
-        result = evaluate(query, mappings, database, method=method, links=LINKS)
-        assert reference.answers.equals(result.answers), (
-            method,
-            reference.answers.difference(result.answers),
-        )
+    with Session(database, mappings, links=LINKS) as session:
+        reference = session.query(query, method="basic")
+        for method in ("e-basic", "e-mqo", "q-sharing", "o-sharing"):
+            result = session.query(query, method=method)
+            assert reference.answers.equals(result.answers), (
+                method,
+                reference.answers.difference(result.answers),
+            )
 
 
 @settings(max_examples=30, deadline=None)
 @given(database=databases(), mappings=mapping_sets(), query=queries(), k=st.integers(1, 4))
 def test_topk_is_a_prefix_of_the_exact_ranking(database, mappings, query, k):
-    exact = evaluate(query, mappings, database, method="o-sharing", links=LINKS)
+    with Session(database, mappings, links=LINKS) as session:
+        exact = session.query(query, method="o-sharing")
     topk = TopKEvaluator(k=k, links=LINKS).evaluate(query, mappings, database)
     exact_ranking = exact.answers.top_k(k)
     exact_by_tuple = {answer.values: answer.probability for answer in exact.answers.ranked()}

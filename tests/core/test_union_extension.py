@@ -9,7 +9,7 @@ running example.
 
 import pytest
 
-from repro.core import evaluate
+from repro import connect
 from repro.core.eunit import EUnit, candidate_operators
 from repro.core.target_query import TargetQuery
 from repro.relational.algebra import Materialized, Project, Scan, Select, Union
@@ -110,13 +110,8 @@ class TestUnionQueries:
     def test_hand_computed_probabilistic_answer(self, paper_example):
         """Union over the Figure 2 instance: aaa 0.8, bbb 0.5, hk 0.5."""
         query = union_query(paper_example)
-        result = evaluate(
-            query,
-            paper_example.mappings,
-            paper_example.database,
-            method="basic",
-            links=paper_example.links,
-        )
+        with connect(paper_example, method="basic") as session:
+            result = session.query(query)
         assert result.answers.probability(("aaa",)) == pytest.approx(0.8)
         assert result.answers.probability(("bbb",)) == pytest.approx(0.5)
         assert result.answers.probability(("hk",)) == pytest.approx(0.5)
@@ -125,20 +120,9 @@ class TestUnionQueries:
     @pytest.mark.parametrize("method", ["e-basic", "e-mqo", "q-sharing", "o-sharing"])
     def test_all_evaluators_agree_on_union_query(self, paper_example, method):
         query = union_query(paper_example)
-        reference = evaluate(
-            query,
-            paper_example.mappings,
-            paper_example.database,
-            method="basic",
-            links=paper_example.links,
-        )
-        result = evaluate(
-            query,
-            paper_example.mappings,
-            paper_example.database,
-            method=method,
-            links=paper_example.links,
-        )
+        with connect(paper_example) as session:
+            reference = session.query(query, method="basic")
+            result = session.query(query, method=method)
         assert reference.answers.equals(result.answers), reference.answers.difference(
             result.answers
         )
@@ -176,18 +160,7 @@ class TestUnionQueries:
             ),
         )
         query = TargetQuery(plan, excel_scenario.target_schema, name="union-po")
-        reference = evaluate(
-            query,
-            excel_scenario.mappings,
-            excel_scenario.database,
-            method="basic",
-            links=excel_scenario.links,
-        )
-        result = evaluate(
-            query,
-            excel_scenario.mappings,
-            excel_scenario.database,
-            method="o-sharing",
-            links=excel_scenario.links,
-        )
+        with connect(excel_scenario) as session:
+            reference = session.query(query, method="basic")
+            result = session.query(query, method="o-sharing")
         assert reference.answers.equals(result.answers)

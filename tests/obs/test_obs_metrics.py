@@ -25,12 +25,6 @@ class TestCounter:
         with pytest.raises(ValueError, match="cannot decrease"):
             counter.inc(-1)
 
-    def test_set_total_mirrors_legacy_absolute(self):
-        counter = MetricsRegistry().counter("ops")
-        counter.inc(5)
-        counter.set_total(42)
-        assert counter.value == 42
-
     def test_thread_safe_increments(self):
         counter = MetricsRegistry().counter("races")
 
@@ -54,14 +48,15 @@ class TestGauge:
         gauge.dec()
         assert gauge.value == 12
 
-    def test_callback_makes_gauge_read_through(self):
+    @pytest.mark.parametrize("kind", ["gauge", "counter"])
+    def test_callback_makes_instrument_read_through(self, kind):
         # The callback is evaluated at *collection* time: every read — and
         # therefore every registry.snapshot(), however it is triggered —
-        # observes the live value, not whatever set() last stored.
+        # observes the live value, not whatever was last stored.
         registry = MetricsRegistry()
-        gauge = registry.gauge("depth")
+        gauge = getattr(registry, kind)("depth")
         live = {"value": 0}
-        gauge.set(99)  # stale explicit value; the callback must win
+        gauge.inc(99)  # stale stored value; the callback must win
         gauge.set_callback(lambda: live["value"])
         assert gauge.value == 0
         live["value"] = 7
@@ -147,7 +142,6 @@ class TestRegistry:
         registry = MetricsRegistry(enabled=False)
         counter = registry.counter("hits")
         counter.inc()
-        counter.set_total(9)
         registry.gauge("g").set(1)
         registry.histogram("h").observe(0.5)
         assert len(registry) == 0

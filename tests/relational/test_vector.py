@@ -446,6 +446,19 @@ class TestWithoutNumpy:
         with pytest.raises(ValueError, match="unknown engine"):
             ExecutionPolicy(engine="vector")
 
+    def test_evaluator_rejects_vector_at_construction(self):
+        from repro.core import make_evaluator
+
+        with pytest.raises(ValueError, match="requires NumPy"):
+            make_evaluator("e-basic", engine="vector")
+
+    def test_evaluator_names_only_the_engines_that_are_there(self):
+        from repro.core import make_evaluator
+
+        with pytest.raises(ValueError, match="unknown engine 'vectr'") as err:
+            make_evaluator("e-basic", engine="vectr")
+        assert "'vector'" not in str(err.value)
+
 
 class TestVectorEngineAvailable:
     def test_engine_listed_and_constructible(self):

@@ -6,10 +6,10 @@ surface:
 * ``policy.trace=True`` gives the session a :class:`~repro.obs.Tracer` whose
   root spans mirror the serving calls (``session.query`` →
   ``phase:*`` → ``optimize`` → ``op:*`` with rows and plan-cache events);
-* ``session.metrics()`` mirrors the legacy counters into a
-  :class:`~repro.obs.metrics.MetricsSnapshot` (per-stage latency histograms,
-  cache hit/patch counters, pool queue depth) that renders to JSON and
-  Prometheus text;
+* ``session.metrics()`` is a :class:`~repro.obs.metrics.MetricsSnapshot`
+  of the session registry (per-stage latency histograms, cache hit/patch
+  counters, pool queue depth — the counter series read through to the
+  engine's own counts) that renders to JSON and Prometheus text;
 * ``trace``/``metrics`` are session-construction state — per-call attempts
   to toggle them are rejected, not silently ignored;
 * ``serve()`` times every request and feeds the bounded slow-query log;
@@ -68,8 +68,9 @@ class TestSessionTracing:
         assert any(name.startswith("phase:") for name in names)
         assert any(name.startswith("op:") for name in names)
 
-    def test_operator_spans_carry_engine_and_rows(self, example):
-        with _session(example, trace=True, method="e-basic") as s:
+    @pytest.mark.parametrize("method", ["e-basic", "q-sharing"])
+    def test_operator_spans_carry_engine_and_rows(self, example, method):
+        with _session(example, trace=True, method=method) as s:
             s.query(example.q0())
             root = s.tracer.roots[0]
         op_spans = [
@@ -79,12 +80,16 @@ class TestSessionTracing:
         for span in op_spans:
             assert span.attributes["engine"] == "columnar"
             assert span.attributes["rows_out"] >= 0
-        # The ambient operator-count events land on their op spans.
-        assert any(
-            event["name"] == "operator"
-            for span in op_spans
+        # The ambient operator-count events land on their op spans — all of
+        # them: an executor built without the session's shared state would
+        # leave them on the enclosing phase span.
+        homes = [
+            span.name
+            for span in root.walk()
             for event in span.events
-        )
+            if event["name"] == "operator"
+        ]
+        assert homes and all(name.startswith("op:") for name in homes)
 
     def test_plan_cache_events_flip_from_miss_to_hit(self, example):
         def cache_outcomes(root):
@@ -104,8 +109,9 @@ class TestSessionTracing:
         assert "hit" in cache_outcomes(warm)
         assert "miss" not in cache_outcomes(warm)
 
-    def test_optimize_span_present_when_optimizing(self, example):
-        with _session(example, trace=True, method="e-basic") as s:
+    @pytest.mark.parametrize("method", ["e-basic", "q-sharing"])
+    def test_optimize_span_present_when_optimizing(self, example, method):
+        with _session(example, trace=True, method=method) as s:
             s.query(example.q0())
             root = s.tracer.roots[0]
         assert root.find("optimize") is not None
@@ -200,7 +206,7 @@ class TestSessionMetrics:
             "aggregation",
         }
         assert all(series["count"] >= 1 for series in stages)
-        # Cache hit/miss counters mirror the legacy plan-cache stats.
+        # Cache hit/miss counters read the plan-cache stats.
         cache = s.plan_cache.stats_snapshot()
         assert (
             snapshot.value("repro_plan_cache_lookups_total", {"outcome": "hit"})
@@ -212,7 +218,7 @@ class TestSessionMetrics:
         )
         assert snapshot.value("repro_plan_cache_entries") == cache["entries"]
         assert snapshot.value("repro_operators_saved_total") == cache["operators_saved"]
-        # Engine totals mirror the session lifetime totals.
+        # Engine totals read the session lifetime totals.
         assert snapshot.value("repro_queries_total") == 2
         assert (
             snapshot.value("repro_source_operators_total")
@@ -262,6 +268,19 @@ class TestSessionMetrics:
         assert snapshot.enabled is False
         assert snapshot.data == {}
         assert snapshot.to_prometheus() == ""
+
+    def test_registry_is_never_stale_between_metrics_calls(self, example):
+        """Every series is live: no ``metrics()`` call has to sync anything."""
+        with _session(example, method="e-mqo") as s:
+            s.query(example.q2())
+            s.query_many([example.q0(), example.q2()])
+            customer = s.database.relation("Customer")
+            s.database.append_rows("Customer", [customer.rows[0]])
+            s.query(example.q2())
+            direct = s.metrics_registry.snapshot()
+            assert direct.value("repro_source_operators_total") == s.stats.source_operators
+            assert direct.value("repro_plan_cache_patches_total") == s.stats.entries_patched
+            assert direct.to_prometheus() == s.metrics().to_prometheus()
 
     def test_write_invalidation_reaches_the_metrics(self, example):
         with _session(example, method="e-basic") as s:

@@ -1,7 +1,7 @@
 """ExecutionPolicy: eager validation with did-you-mean errors.
 
 The policy is the single validation boundary of the public API: the typed
-constructor, per-call overrides and the legacy shims' ``**options`` all run
+constructor, ``connect(...)`` defaults and per-call overrides all run
 through it, so an unknown method/engine/strategy/option name fails *here*,
 as a ``ValueError`` naming the valid choices — never as a bare
 ``KeyError``/``TypeError`` deep inside an evaluator constructor.
@@ -80,17 +80,13 @@ class TestValidation:
 
 
 class TestOptionBoundary:
-    def test_from_options_rejects_unknown_names_with_suggestion(self):
+    def test_unknown_option_names_are_rejected_with_suggestion(self):
         with pytest.raises(ValueError) as err:
-            ExecutionPolicy.from_options(engin="row")
+            ExecutionPolicy().with_overrides(engin="row")
         message = str(err.value)
         assert "unknown option 'engin'" in message
         assert "did you mean 'engine'" in message
         assert "optimize" in message  # the valid options are listed
-
-    def test_from_options_builds_policies(self):
-        policy = ExecutionPolicy.from_options(method="e-basic", engine="row")
-        assert (policy.method, policy.engine) == ("e-basic", "row")
 
     def test_with_overrides_returns_validated_copies(self):
         base = ExecutionPolicy()
@@ -103,23 +99,16 @@ class TestOptionBoundary:
             base.with_overrides(engine="gpu")
         assert base.with_overrides() is base
 
-    def test_legacy_evaluate_validates_at_the_boundary(self, paper_example):
-        """The shims share the policy validation (the satellite bugfix)."""
-        from repro.core import evaluate, evaluate_many
+    def test_session_calls_validate_at_the_boundary(self, paper_example):
+        from repro import connect
 
-        args = (paper_example.q0(), paper_example.mappings, paper_example.database)
         with pytest.raises(ValueError, match="did you mean 'o-sharing'"):
-            evaluate(*args, method="o-sharng", links=paper_example.links)
-        with pytest.raises(ValueError, match="unknown option 'engin'"):
-            evaluate(*args, links=paper_example.links, engin="row")
-        with pytest.raises(ValueError, match="unknown option"):
-            evaluate_many(
-                [paper_example.q0()],
-                paper_example.mappings,
-                paper_example.database,
-                links=paper_example.links,
-                cache_sz=16,
-            )
+            connect(paper_example, method="o-sharng")
+        with connect(paper_example) as session:
+            with pytest.raises(ValueError, match="unknown option 'engin'"):
+                session.query(paper_example.q0(), engin="row")
+            with pytest.raises(ValueError, match="unknown option"):
+                session.query_many([paper_example.q0()], cache_sz=16)
 
     def test_make_evaluator_raises_value_error_with_suggestion(self):
         from repro.core import make_evaluator
@@ -141,12 +130,9 @@ class TestEvaluatorOptions:
         assert options["seed"] == 3
         assert options["prune_empty"] is False
 
-    def test_batch_gets_cache_and_planning_knobs(self):
-        options = ExecutionPolicy(
-            method="batch", cache_size=9, exhaustive_planning=True
-        ).evaluator_options()
+    def test_batch_gets_its_cache_bound(self):
+        options = ExecutionPolicy(method="batch", cache_size=9).evaluator_options()
         assert options["cache_size"] == 9
-        assert options["exhaustive_planning"] is True
         assert "strategy" not in options
 
     def test_top_k_gets_strategy_but_not_prune(self):

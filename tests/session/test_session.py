@@ -2,11 +2,9 @@
 
 The acceptance pins of the session-first API:
 
-* a warm session **beats** cold one-shot calls — the second pass over a
-  repeated workload reports plan-cache hits and executes strictly fewer
-  source operators;
-* the legacy one-shot functions still work (emitting ``DeprecationWarning``)
-  with byte-identical answers to the session path;
+* a warm session **beats** a cold one — the second pass over a repeated
+  workload reports plan-cache hits and executes strictly fewer source
+  operators;
 * ``Database.set_relation`` flushes the session-owned caches (a session can
   never serve stale results);
 * ``close()`` is idempotent and shuts the session's worker pools down;
@@ -55,11 +53,12 @@ class TestWarmSession:
             assert _answers(one) == _answers(two)
             assert one.answers.empty_probability == two.answers.empty_probability
 
-    def test_optimizer_memo_persists_across_calls(self, example):
+    @pytest.mark.parametrize("method", ["e-basic", "q-sharing", "basic"])
+    def test_optimizer_memo_persists_across_calls(self, example, method):
         with Session(example.database, example.mappings, links=example.links) as s:
-            cold = s.query(example.q2(), method="e-basic")
+            cold = s.query(example.q2(), method=method)
             assert s.stats.snapshot()["optimizer_memo_entries"] > 0
-            warm = s.query(example.q2(), method="e-basic")
+            warm = s.query(example.q2(), method=method)
         # Every plan of the second identical call is answered from the
         # session optimizer's fingerprint memo.
         assert warm.stats.plans_optimized == warm.stats.optimizer_memo_hits
@@ -95,7 +94,6 @@ class TestWarmSession:
             assert s.stats.totals.plans_optimized > 0
 
     def test_shutdown_pools_resets_the_default_manager_in_place(self, example):
-        from repro.core import evaluate
         from repro.relational.parallel import (
             ParallelConfig,
             default_manager,
@@ -106,12 +104,10 @@ class TestWarmSession:
         shutdown_pools()
         assert default_manager() is manager and not manager.closed
         config = ParallelConfig(workers=2, min_partition_rows=0)
-        with pytest.warns(DeprecationWarning):
-            result = evaluate(
-                example.q2(), example.mappings, example.database,
-                links=example.links, engine="parallel", parallel=config,
-            )
+        with connect(example, pools=manager, engine="parallel", parallel=config) as s:
+            result = s.query(example.q2())
         assert len(result.answers) > 0 or result.answers.empty_probability > 0
+        assert not manager.closed and manager.started_pools > 0
 
     def test_session_stats_aggregate_across_lifetime(self, example):
         with Session(example.database, example.mappings, links=example.links) as s:
@@ -138,48 +134,6 @@ class TestWarmSession:
             "seconds",
         ):
             assert key in snapshot
-
-
-# --------------------------------------------------------------------------- #
-# legacy shims
-# --------------------------------------------------------------------------- #
-class TestLegacyShims:
-    def test_evaluate_warns_and_matches_session(self, example):
-        from repro.core import evaluate
-
-        with Session(example.database, example.mappings, links=example.links) as s:
-            warm = s.query(example.q2())
-        with pytest.warns(DeprecationWarning, match="repro.Session"):
-            cold = evaluate(
-                example.q2(), example.mappings, example.database, links=example.links
-            )
-        assert _answers(cold) == _answers(warm)
-        assert cold.answers.empty_probability == warm.answers.empty_probability
-
-    def test_evaluate_many_warns_and_matches_session(self, example):
-        from repro.core import evaluate_many
-
-        queries = _workload(example, repeats=2)
-        with Session(example.database, example.mappings, links=example.links) as s:
-            warm = s.query_many(queries)
-        with pytest.warns(DeprecationWarning, match="query_many"):
-            cold = evaluate_many(
-                queries, example.mappings, example.database, links=example.links
-            )
-        for one, two in zip(cold.results, warm.results):
-            assert _answers(one) == _answers(two)
-
-    def test_evaluate_top_k_warns_and_matches_session(self, example):
-        from repro.core import evaluate_top_k
-
-        with Session(example.database, example.mappings, links=example.links) as s:
-            warm = s.top_k(example.q0(), k=2)
-        with pytest.warns(DeprecationWarning, match="top_k"):
-            cold = evaluate_top_k(
-                example.q0(), example.mappings, example.database, k=2,
-                links=example.links,
-            )
-        assert _answers(cold) == _answers(warm)
 
 
 # --------------------------------------------------------------------------- #
@@ -304,7 +258,7 @@ class TestLifecycle:
             s.query_many([example.q0()], cache_size=s.policy.cache_size)
 
     def test_injected_pool_manager_survives_close(self, example):
-        """A shared pools manager (the shims' path) is not shut down."""
+        """A shared pools manager is not shut down."""
         from repro.relational.parallel import PoolManager
 
         shared_pools = PoolManager()
@@ -316,20 +270,6 @@ class TestLifecycle:
         session.close()
         assert session.closed and not shared_pools.closed
         shared_pools.shutdown()
-
-    def test_legacy_shims_reuse_the_process_wide_pools(self, example):
-        from repro.core import evaluate
-        from repro.relational.parallel import ParallelConfig, default_manager
-
-        config = ParallelConfig(workers=2, min_partition_rows=0)
-        with pytest.warns(DeprecationWarning):
-            evaluate(
-                example.q2(), example.mappings, example.database,
-                links=example.links, engine="parallel", parallel=config,
-            )
-        manager = default_manager()
-        assert not manager.closed
-        assert manager.started_pools > 0  # warm workers survive the shim
 
     def test_context_manager_closes_on_exit(self, example):
         with Session(example.database, example.mappings, links=example.links) as s:
@@ -492,8 +432,6 @@ class TestServingSurface:
             assert _answers(row) == _answers(default)
 
     def test_inapplicable_options_are_rejected_not_dropped(self, example):
-        from repro.core import evaluate
-
         with Session(example.database, example.mappings, links=example.links) as s:
             with pytest.raises(ValueError, match="does not apply to method 'e-basic'"):
                 s.query(example.q0(), method="e-basic", strategy="snf")
@@ -503,12 +441,6 @@ class TestServingSurface:
                 s.top_k(example.q0(), k=2, prune_empty=False)
             # ...while applicable combinations still work
             s.query(example.q0(), method="o-sharing", strategy="snf")
-            s.query_many([example.q0()], exhaustive_planning=True)
-        with pytest.raises(ValueError, match="does not apply"):
-            evaluate(
-                example.q0(), example.mappings, example.database,
-                method="q-sharing", strategy="snf", links=example.links,
-            )
 
     def test_method_override_on_fixed_method_calls_is_rejected(self, example):
         with Session(example.database, example.mappings, links=example.links) as s:
@@ -521,13 +453,8 @@ class TestServingSurface:
             s.top_k(example.q0(), k=2, method="top-k")
 
     def test_explicit_cache_size_with_cacheless_method_is_rejected(self, example):
-        from repro.core import evaluate
-
         with pytest.raises(ValueError, match="does not apply to method 'o-sharing'"):
-            evaluate(
-                example.q0(), example.mappings, example.database,
-                method="o-sharing", cache_size=10, links=example.links,
-            )
+            ExecutionPolicy().with_overrides(method="o-sharing", cache_size=10)
         # ...but it stays valid for the methods that consult the cache, and
         # as a session-level default regardless of method.
         with connect(example, cache_size=16) as s:
@@ -535,16 +462,11 @@ class TestServingSurface:
             s.query(example.q0())
 
     def test_explicit_k_with_non_top_k_method_is_rejected(self, example):
-        from repro.core import evaluate
-
         with Session(example.database, example.mappings, links=example.links) as s:
             with pytest.raises(ValueError, match="does not apply to method 'o-sharing'"):
                 s.query(example.q0(), k=5)
         with pytest.raises(ValueError, match="does not apply"):
-            evaluate(
-                example.q0(), example.mappings, example.database,
-                method="o-sharing", k=5, links=example.links,
-            )
+            ExecutionPolicy().with_overrides(method="o-sharing", k=5)
         # ...but k as a session-policy default for later top_k calls is fine
         policy = ExecutionPolicy(k=2)
         with Session(

@@ -20,13 +20,20 @@ import threading
 import pytest
 
 from repro import ExecutionPolicy, Session
-from repro.core import evaluate
 from repro.datagen.paper_example import build_paper_example
 from repro.matching.mappings import Mapping, MappingSet
 
 
 def _answers(result):
     return dict(result.answers.items())
+
+
+def _cold_answers(query, example, mappings=None, **options):
+    """The answers of a fresh session over the example's current database."""
+    with Session(
+        example.database, mappings or example.mappings, links=example.links
+    ) as session:
+        return _answers(session.query(query, **options))
 
 
 @pytest.fixture()
@@ -60,11 +67,8 @@ class TestDeltaCounters:
             assert after_write.plan_cache["patches"] == after_write.entries_patched
             answer = _answers(s.query(example.q0()))
         assert answer != baseline  # the write is visible...
-        cold = evaluate(
-            example.q0(), example.mappings, example.database,
-            method="e-mqo", links=example.links,
-        )
-        assert answer == _answers(cold)  # ... and byte-identical to cold
+        # ... and byte-identical to cold
+        assert answer == _cold_answers(example.q0(), example, method="e-mqo")
 
     def test_nonappend_writes_invalidate_warm_entries(self, example):
         policy = ExecutionPolicy(method="e-mqo")
@@ -79,11 +83,8 @@ class TestDeltaCounters:
             )
             assert s.stats.entries_invalidated > 0
             assert len(s.plan_cache) == 0
-            cold = evaluate(
-                example.q0(), example.mappings, example.database,
-                method="e-mqo", links=example.links,
-            )
-            assert _answers(s.query(example.q0())) == _answers(cold)
+            cold = _cold_answers(example.q0(), example, method="e-mqo")
+            assert _answers(s.query(example.q0())) == cold
 
     def test_stats_refresh_incrementally_after_appends(self, example):
         with Session(example.database, example.mappings, links=example.links) as s:
@@ -182,14 +183,7 @@ class TestWriteRaces:
         for steps in range(len(appends) + 1):
             replayed = build_paper_example()
             replayed.database.relation("Customer").append_rows(appends[:steps])
-            prefix_answers.append(
-                _answers(
-                    evaluate(
-                        replayed.q0(), mappings, replayed.database,
-                        links=replayed.links,
-                    )
-                )
-            )
+            prefix_answers.append(_cold_answers(replayed.q0(), replayed, mappings))
         assert len(set(map(tuple, (sorted(a) for a in prefix_answers)))) == len(
             prefix_answers
         ), "prefixes must be distinguishable for the check to mean anything"
@@ -268,8 +262,4 @@ class TestWriteRaces:
             assert not errors, errors
 
             for build in (example.q0, example.q2):
-                cold = evaluate(
-                    build(), example.mappings, example.database, links=example.links
-                )
-                warm = _answers(s.query(build()))
-                assert warm == _answers(cold)
+                assert _answers(s.query(build())) == _cold_answers(build(), example)
