@@ -47,7 +47,13 @@ def _report(panel: str, series: ExperimentSeries, report_writer) -> None:
     text = render_experiment(
         f"Figure 12({panel}): top-k vs o-sharing ({query_id})",
         series,
-        metrics=("seconds", "source_operators"),
+        metrics=(
+            "seconds",
+            "source_operators",
+            "units_created",
+            "stopped_early",
+            "candidate_tuples",
+        ),
         notes=f"k swept over {K_VALUES}; h={BENCH_H}, scale={SCALE}",
     )
     report_writer(f"fig12{panel}_topk_{query_id.lower()}", text)
@@ -56,9 +62,15 @@ def _report(panel: str, series: ExperimentSeries, report_writer) -> None:
 def _assert_shape(series: ExperimentSeries) -> None:
     # The top-k algorithm never executes more source operators than the exact
     # o-sharing evaluation, and for k=1 it executes no more than for k=20.
+    # A drive reports stopped_early exactly when it left a queued group
+    # behind, whose child e-unit is then never created.
     for k in K_VALUES:
         assert series.value("top-k", k, "source_operators") <= series.value(
             "o-sharing", k, "source_operators"
+        )
+        assert series.value("top-k", k, "stopped_early") == (
+            series.value("top-k", k, "units_created")
+            < series.value("o-sharing", k, "units_created")
         )
     assert series.value("top-k", 1, "source_operators") <= series.value(
         "top-k", max(K_VALUES), "source_operators"

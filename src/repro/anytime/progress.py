@@ -1,16 +1,15 @@
-"""The anytime progress model: interval answers over a partially driven u-trace.
+"""The anytime result: interval answers over a partially driven u-trace.
 
-The top-k evaluator (Algorithm 4) already shows the u-trace can be expanded
-*partially* while every answer tuple carries sound probability bounds.  The
-anytime evaluator generalizes that: it drives the shared u-trace core
+The anytime evaluator drives the shared u-trace core
 (:mod:`repro.core.utrace` — frontier, contribution log, replay keys) under a
-budget, and this module turns whatever has settled into
+budget.  Its bounds are the core's one bounds model, the same one top-k
+stops on: at any checkpoint each discovered tuple ``t`` has ``lb(t)`` = mass
+already confirmed and ``ub(t) = lb(t) + U`` where ``U`` (the *unexplored
+mass*) is the total mass still sitting on the frontier; ``lb ≤ Pr(t) ≤ ub``
+holds throughout and both bounds tighten monotonically as the frontier
+drains.  This module carries them to the caller:
 
-* **interval answers** — at any checkpoint, each discovered tuple ``t`` has
-  ``lb(t)`` = mass already confirmed and ``ub(t) = lb(t) + U`` where ``U``
-  (the *unexplored mass*) is the total mass still sitting on the frontier.
-  ``lb ≤ Pr(t) ≤ ub`` holds throughout and both bounds tighten monotonically
-  as the frontier drains;
+* :class:`IntervalAnswer` (defined in :mod:`repro.core.utrace`, re-exported);
 * an :class:`AnytimeResult` carrying them, with a :meth:`~AnytimeResult.resume`
   handle backed by an :class:`AnytimeContinuation` (the saved trace).
 """
@@ -20,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from repro.core.answer import ProbabilisticAnswer, _sort_key
 from repro.core.evaluators.base import EvaluationResult
+from repro.core.utrace import IntervalAnswer
 from repro.relational.stats import ExecutionStats
 
 __all__ = [
@@ -29,62 +28,6 @@ __all__ = [
     "AnytimeResult",
     "AnytimeContinuation",
 ]
-
-
-@dataclass(frozen=True)
-class IntervalAnswer:
-    """One answer tuple with its current probability interval.
-
-    ``lb`` is probability mass already confirmed for the tuple; ``ub`` adds
-    the drive's unexplored mass (every pending frontier task could still
-    produce this tuple).  The exact probability always lies in ``[lb, ub]``,
-    and successive checkpoints only ever raise ``lb`` and lower ``ub``.
-    """
-
-    values: tuple
-    lb: float
-    ub: float
-
-    @property
-    def width(self) -> float:
-        """The interval's remaining uncertainty."""
-        return self.ub - self.lb
-
-
-def interval_answers(
-    answers: ProbabilisticAnswer, unexplored: float
-) -> tuple[IntervalAnswer, ...]:
-    """Ranked interval answers (decreasing ``lb``, canonical tie-break)."""
-    ranked = sorted(
-        (
-            IntervalAnswer(values=values, lb=lb, ub=lb + unexplored)
-            for values, lb in answers.items()
-        ),
-        key=lambda interval: (-interval.lb, _sort_key(interval.values)),
-    )
-    return tuple(ranked)
-
-
-def ranking_converged(
-    intervals: tuple[IntervalAnswer, ...], unexplored: float, exhausted: bool
-) -> bool:
-    """True when no unexplored mass can change the ranked order.
-
-    An exhausted drive is exact, hence converged.  Otherwise the ranking is
-    final when consecutive intervals are strictly separated (``lb_i >
-    ub_{i+1}``, so ``Pr(t_i) ≥ lb_i > ub_{i+1} ≥ Pr(t_{i+1})``) *and* the
-    unexplored mass cannot introduce an unseen tuple that displaces the last
-    ranked one (``U < lb_last ≤ Pr(t_last)``) — strict inequalities, so the
-    exact ranking provably lists the same tuples in the same order.
-    """
-    if exhausted:
-        return True
-    if not intervals:
-        return unexplored <= 0.0
-    for first, second in zip(intervals, intervals[1:]):
-        if first.lb <= second.ub:
-            return False
-    return unexplored < intervals[-1].lb
 
 
 @dataclass

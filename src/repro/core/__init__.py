@@ -9,7 +9,8 @@ The package is organised around the concepts of the paper:
 * :mod:`repro.core.partition_tree` — mapping partitioning (Algorithm 3).
 * :mod:`repro.core.eunit` — e-units and candidate operators (Section V).
 * :mod:`repro.core.utrace` — the one u-trace walker o-sharing, top-k and
-  anytime schedule.
+  anytime schedule, and the one bounds model (interval answers) top-k and
+  anytime share.
 * :mod:`repro.core.evaluators.whole_query` — the one whole-query pipeline
   basic, e-basic, e-MQO, q-sharing and batch configure.
 * :mod:`repro.core.operator_selection` — Random / SNF / SEF (Section VI-A).

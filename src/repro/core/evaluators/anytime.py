@@ -32,7 +32,7 @@ from repro.core.evaluators.base import PHASE_ANYTIME, Evaluator
 from repro.core.links import SchemaLinks
 from repro.core.operator_selection import SelectionStrategy, make_strategy
 from repro.core.target_query import TargetQuery
-from repro.core.utrace import GroupTask, UTrace, root_unit
+from repro.core.utrace import GroupTask, UTrace, interval_answers, ranking_converged, root_unit
 from repro.matching.mappings import MappingSet
 from repro.relational.database import Database
 from repro.relational.executor import DEFAULT_ENGINE
@@ -111,7 +111,7 @@ class AnytimeEvaluator(Evaluator):
         self, continuation: AnytimeContinuation, budget: Budget, step_stats: ExecutionStats
     ) -> AnytimeResult:
         """Drive the trace under ``budget``, then replay and bound (``phase:anytime``)."""
-        from repro.anytime.progress import AnytimeResult, interval_answers, ranking_converged
+        from repro.anytime.progress import AnytimeResult
 
         trace = continuation.trace
         meter = budget.meter()

@@ -3,47 +3,37 @@
 A probabilistic top-k query returns the ``k`` answer tuples with the highest
 probabilities among those with non-zero probability.  Rather than computing
 every answer's exact probability with o-sharing and sorting, the top-k
-algorithm expands the u-trace only partially: every answer tuple carries a
-lower bound (``lb`` — probability mass already confirmed) and an upper bound
-(``ub`` — the most it could still reach), and two global bounds are kept:
+algorithm expands the u-trace only partially and stops as soon as the
+settled mass decides the top ``k``: every answer tuple's probability lies in
+``[lb, lb + U]``, where ``lb`` is its settled mass and ``U`` the mass still
+queued, and no queued unit can change the top ``k`` once neither ``U`` (an
+unseen tuple) nor the ``(k+1)``-th tuple's ``lb + U`` exceeds the ``k``-th
+``lb`` (the paper's Table II walk-through).
 
-* ``LB`` — the lower bound of the tuple currently ranked ``k``-th, and
-* ``UB`` — the maximum probability any tuple *not yet seen* could attain.
-
-As soon as every tuple ranked below ``k`` has ``ub <= LB`` and ``UB <= LB``,
-the remaining e-units cannot change the top-k answer set and the traversal
-stops (the paper's Table II walk-through).
+Algorithm 4 also records a static ``ub`` per tuple and stops on
+``min(ub, lb + UB)``.  That ``ub`` is redundant: at discovery ``ub = lb + UB``,
+and a settle adds ``p`` to an ``lb`` only while taking ``p`` off ``UB``, so
+``lb + UB`` never grows past ``ub`` and the minimum is always ``lb + UB``.
 
 Partitions are visited depth-first, in decreasing order of probability mass,
 which makes the bounds tighten as fast as possible; the paper leaves the
-visiting order unspecified.  The traversal itself is
-:mod:`repro.core.utrace`; this module is its depth-first schedule, the
-``decide_result`` sink and the "top-k is final" stop rule.
+visiting order unspecified.  The traversal and the bounds are
+:mod:`repro.core.utrace`; this module is its depth-first schedule and the
+"top-k is final" stop rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.answer import ProbabilisticAnswer, _sort_key
-from repro.core.evaluators.base import EvaluationResult, Evaluator
+from repro.core.answer import ProbabilisticAnswer
+from repro.core.evaluators.base import PHASE_AGGREGATION, EvaluationResult, Evaluator
 from repro.core.links import SchemaLinks
 from repro.core.operator_selection import SelectionStrategy, make_strategy
 from repro.core.target_query import TargetQuery
-from repro.core.utrace import GroupTask, UTrace, root_unit
+from repro.core.utrace import GroupTask, UTrace, interval_answers, root_unit, top_k_final
 from repro.matching.mappings import MappingSet
 from repro.relational.database import Database
 from repro.relational.executor import DEFAULT_ENGINE
 from repro.relational.stats import ExecutionStats
-
-
-@dataclass
-class BoundedTuple:
-    """One candidate answer tuple with its probability bounds."""
-
-    values: tuple
-    lb: float
-    ub: float
 
 
 def depth_first(task: GroupTask) -> tuple:
@@ -84,90 +74,29 @@ class TopKEvaluator(Evaluator):
         stats = ExecutionStats()
         executor = self._executor(database, stats)
         root = root_unit(query, mappings, stats)
-        state = _TopKState(k=self.k, ub=root.probability)
-        trace = UTrace(
-            query,
-            self.links,
-            self.strategy,
-            depth_first,
-            sink=lambda _key, tuples, probability: state.decide(probability, tuples or []),
-        )
+        trace = UTrace(query, self.links, self.strategy, depth_first)
         trace.visit(root, stats)
-        trace.drive(executor, stats, stop=lambda _task: state.final)
 
-        answers = ProbabilisticAnswer()
-        for entry in state.top_k():
-            answers.add(entry.values, entry.lb)
+        def final(_task: GroupTask) -> bool:
+            with stats.phase(PHASE_AGGREGATION):
+                unexplored = trace.unexplored_mass()
+                ranked = interval_answers(trace.replay(), unexplored)
+                return top_k_final(ranked, unexplored, self.k)
+
+        trace.drive(executor, stats, stop=final)
+
+        with stats.phase(PHASE_AGGREGATION):
+            ranked = interval_answers(trace.replay(), trace.unexplored_mass())
+            top = [interval for interval in ranked if interval.lb > 0][: self.k]
+            answers = ProbabilisticAnswer.from_pairs((entry.values, entry.lb) for entry in top)
         return self._result(
             query,
             answers,
             stats,
             strategy=self.strategy.name,
             k=self.k,
-            stopped_early=state.final,
-            candidate_tuples=len(state.entries),
+            stopped_early=not trace.exhausted,
+            candidate_tuples=len(ranked),
             representative_mappings=len(root.mappings),
             **trace.details(stats),
         )
-
-
-class _TopKState:
-    """The heap, LB and UB bookkeeping of Algorithm 4."""
-
-    def __init__(self, k: int, ub: float):
-        self.k = k
-        self.LB = 0.0
-        self.UB = ub
-        self.entries: dict[tuple, BoundedTuple] = {}
-        #: True once no unprocessed mass can change the top-k set (the stop rule)
-        self.final = False
-
-    # -- the decide_result routine --------------------------------------- #
-    def decide(self, probability: float, tuples: list[tuple]) -> bool:
-        """Fold one e-unit's result into the bounds; True when top-k is final."""
-        for values in tuples:
-            entry = self.entries.get(values)
-            if entry is not None:
-                entry.lb += probability
-            elif self.UB > self.LB:
-                self.entries[values] = BoundedTuple(values=values, lb=probability, ub=self.UB)
-        self.UB -= probability
-        ranked = self.ranked()
-        if len(ranked) >= self.k:
-            self.LB = ranked[self.k - 1].lb
-        else:
-            self.LB = 0.0
-        self.final = self._finished(ranked)
-        return self.final
-
-    def _finished(self, ranked: list[BoundedTuple]) -> bool:
-        if self.UB > self.LB + 1e-12:
-            return False
-        if len(ranked) < self.k:
-            # Fewer than k candidates seen so far; only finished when no more
-            # probability mass remains to discover new tuples.
-            return self.UB <= 1e-12
-        beyond_k = ranked[self.k :]
-        # A candidate's probability can only grow by mass not yet processed,
-        # so its effective upper bound is min(recorded ub, lb + UB).  Using it
-        # stops the traversal earlier than the recorded (static) ub alone.
-        return all(
-            min(entry.ub, entry.lb + self.UB) <= self.LB + 1e-12 for entry in beyond_k
-        )
-
-    # ------------------------------------------------------------------ #
-    def ranked(self) -> list[BoundedTuple]:
-        """Candidate tuples ordered by decreasing lower bound.
-
-        Equal-probability ties break on the canonical tuple sort key (the
-        same ``_sort_key`` :meth:`ProbabilisticAnswer.ranked` uses), not on
-        ``str(values)`` — ``("b",)`` and ``(2,)`` stringify ambiguously, and
-        the anytime ranked prefix must be replay-stable under serial_replay.
-        """
-        return sorted(
-            self.entries.values(), key=lambda entry: (-entry.lb, _sort_key(entry.values))
-        )
-
-    def top_k(self) -> list[BoundedTuple]:
-        """The current top-k candidates (non-zero lower bound only)."""
-        return [entry for entry in self.ranked() if entry.lb > 0][: self.k]

@@ -2,13 +2,13 @@
 
 Algorithm 2 (o-sharing), Algorithm 4 (top-k) and the anytime evaluator all
 grow the same tree of e-units; they differ only in *which pending partition
-group runs next*, *when to stop* and *where settled probability mass goes*.
-:class:`UTrace` owns everything else:
+group runs next* and *when to stop*.  :class:`UTrace` owns everything else:
 
 * the **per-unit step** (``run_qt`` Cases 1-3): a fully evaluated unit, or
   one with an empty intermediate, is settled — its answer tuples or its
-  empty mass go to the sink; any other unit gets its next operator chosen,
-  its mappings partitioned, and one :class:`GroupTask` per partition queued;
+  empty mass go to the contribution log; any other unit gets its next
+  operator chosen, its mappings partitioned, and one :class:`GroupTask` per
+  partition queued;
 * the **per-group step**: reformulate the group's representative for the
   unit's next operator, execute the source operator once for the whole
   group (the o-sharing saving), splice the result into the plan, take the
@@ -16,12 +16,18 @@ group runs next*, *when to stop* and *where settled probability mass goes*.
 * the **frontier** of queued groups, a heap on ``(priority(task), seq)`` —
   ``seq`` is the queueing order, so equal priorities run first-in-first-out
   and every schedule is deterministic and replayable;
-* the **contribution log** (the default sink) and its **replay keys**;
+* the **contribution log** of settled mass and its **replay keys**;
 * the **drive loop**, and the u-trace counters, written into the caller's
   :class:`~repro.relational.stats.ExecutionStats` as the events happen.
 
-An evaluator is then a priority, a stop rule and a sink (see
+An evaluator is then a priority and a stop rule (see
 ``core/evaluators/{osharing,topk,anytime}.py``).
+
+The **bounds model** lives here too, beside the log and the frontier it is
+computed from: :func:`interval_answers` gives every settled tuple the
+interval ``[lb, lb + U]`` (``U`` = the mass still queued).  Anytime reports
+those intervals with :func:`ranking_converged`; top-k stops when
+:func:`top_k_final` says no queued mass can change its first ``k``.
 
 Replay keys are what make schedules interchangeable.  A unit settled at
 path ``p`` contributes under key ``p``; group ``i`` of a unit at ``p`` whose
@@ -40,7 +46,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from repro.core.answer import ProbabilisticAnswer
+from repro.core.answer import ProbabilisticAnswer, _sort_key
 from repro.core.eunit import CandidateOperator, EUnit, apply_execution, candidate_operators
 from repro.core.evaluators.base import PHASE_AGGREGATION, PHASE_EVALUATION, PHASE_REWRITING
 from repro.core.links import SchemaLinks
@@ -57,9 +63,6 @@ from repro.matching.mappings import Mapping
 from repro.relational.algebra import Materialized, PlanNode, Scan
 from repro.relational.executor import Executor
 from repro.relational.stats import ExecutionStats
-
-#: ``sink(replay_key, answer_tuples or None, probability)``
-Sink = Callable[[tuple, "list[tuple] | None", float], Any]
 
 
 @dataclass
@@ -87,10 +90,10 @@ def root_unit(query: TargetQuery, mappings: Iterable[Mapping], stats: ExecutionS
 class UTrace:
     """The explored part of one query's u-trace and the loop that grows it.
 
-    ``priority(task)`` orders the frontier (smallest first).  ``sink``
-    receives every settled contribution as it happens; by default it is the
-    contribution log that :meth:`replay` folds.  ``prune_empty=False``
-    disables the empty-intermediate shortcut (the ablation benchmark).
+    ``priority(task)`` orders the frontier (smallest first); every settled
+    contribution is appended to :attr:`contributions`, the log that
+    :meth:`replay` folds.  ``prune_empty=False`` disables the
+    empty-intermediate shortcut (the ablation benchmark).
     """
 
     def __init__(
@@ -99,7 +102,6 @@ class UTrace:
         links: SchemaLinks | None,
         strategy: SelectionStrategy,
         priority: Callable[[GroupTask], tuple],
-        sink: Sink | None = None,
         prune_empty: bool = True,
     ):
         self.query = query
@@ -109,7 +111,6 @@ class UTrace:
         self._priority = priority
         #: (replay key, answer tuples | None, probability), in settling order
         self.contributions: list[tuple[tuple, list | None, float]] = []
-        self._sink = sink or (lambda *entry: self.contributions.append(entry))
         self._frontier: list[tuple[tuple, int, GroupTask]] = []
         self._queued = 0
         #: shape of the explored tree (work counters live in ExecutionStats)
@@ -155,7 +156,7 @@ class UTrace:
             self.units_answered += 1
         else:
             stats.count_eunit_pruned()
-        self._sink(unit.path, tuples or None, unit.probability)
+        self.contributions.append((unit.path, tuples or None, unit.probability))
 
     def _choose(self, unit: EUnit):
         candidates = candidate_operators(unit.plan, self.query)
@@ -181,7 +182,7 @@ class UTrace:
             stats.count_reformulation()
         if source_plan is None:
             with stats.phase(PHASE_AGGREGATION):
-                self._sink(unit.path + (-1, task.index), None, task.mass)
+                self.contributions.append((unit.path + (-1, task.index), None, task.mass))
             return False
         with stats.phase(PHASE_EVALUATION):
             result = executor.execute(source_plan)
@@ -283,3 +284,79 @@ class UTrace:
             f"UTrace(query={self.query.name!r}, settled={len(self.contributions)}, "
             f"pending={len(self._frontier)})"
         )
+
+
+# ---------------------------------------------------------------------- #
+# the bounds model
+# ---------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class IntervalAnswer:
+    """One answer tuple with its current probability interval.
+
+    ``lb`` is probability mass already confirmed for the tuple; ``ub`` adds
+    the drive's unexplored mass (every pending frontier task could still
+    produce this tuple).  The exact probability always lies in ``[lb, ub]``,
+    and successive checkpoints only ever raise ``lb`` and lower ``ub``.
+    """
+
+    values: tuple
+    lb: float
+    ub: float
+
+    @property
+    def width(self) -> float:
+        """The interval's remaining uncertainty."""
+        return self.ub - self.lb
+
+
+def interval_answers(
+    answers: ProbabilisticAnswer, unexplored: float
+) -> tuple[IntervalAnswer, ...]:
+    """Ranked interval answers (decreasing ``lb``, canonical tie-break)."""
+    ranked = sorted(
+        (
+            IntervalAnswer(values=values, lb=lb, ub=lb + unexplored)
+            for values, lb in answers.items()
+        ),
+        key=lambda interval: (-interval.lb, _sort_key(interval.values)),
+    )
+    return tuple(ranked)
+
+
+def ranking_converged(
+    intervals: tuple[IntervalAnswer, ...], unexplored: float, exhausted: bool
+) -> bool:
+    """True when no unexplored mass can change the ranked order.
+
+    An exhausted drive is exact, hence converged.  Otherwise the ranking is
+    final when consecutive intervals are strictly separated (``lb_i >
+    ub_{i+1}``, so ``Pr(t_i) ≥ lb_i > ub_{i+1} ≥ Pr(t_{i+1})``) *and* the
+    unexplored mass cannot introduce an unseen tuple that displaces the last
+    ranked one (``U < lb_last ≤ Pr(t_last)``) — strict inequalities, so the
+    exact ranking provably lists the same tuples in the same order.
+    """
+    if exhausted:
+        return True
+    if not intervals:
+        return unexplored <= 0.0
+    for first, second in zip(intervals, intervals[1:]):
+        if first.lb <= second.ub:
+            return False
+    return unexplored < intervals[-1].lb
+
+
+#: Slack for comparing sums of the same masses accumulated in different orders.
+_TOP_K_EPSILON = 1e-12
+
+
+def top_k_final(intervals: tuple[IntervalAnswer, ...], unexplored: float, k: int) -> bool:
+    """True when no unexplored mass can change which tuples rank in the top ``k``.
+
+    With fewer than ``k`` tuples seen, only a drained frontier is final.
+    Otherwise an unseen tuple can reach at most ``U`` and the ``(k+1)``-th
+    seen one at most its ``ub``; neither may exceed the ``k``-th ``lb``.
+    """
+    if len(intervals) < k:
+        return unexplored <= _TOP_K_EPSILON
+    bound = intervals[k - 1].lb + _TOP_K_EPSILON
+    return unexplored <= bound and (len(intervals) == k or intervals[k].ub <= bound)

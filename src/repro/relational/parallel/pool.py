@@ -172,8 +172,9 @@ def shutdown_pools() -> None:
 
     The manager object stays the same and stays usable — pools are
     re-created lazily on the next task — so every holder of
-    :func:`default_manager` (throwaway shim sessions, the bench harness)
-    keeps working after a reset.
+    :func:`default_manager` (the fresh sessions of
+    :func:`repro.bench.harness.cold_query`, any session given
+    ``pools=default_manager()``) keeps working after a reset.
     """
     _DEFAULT_MANAGER.shutdown(reopen=True)
 
@@ -311,8 +312,9 @@ def map_ordered(
 
     With a ``pools`` manager the map runs on its long-lived
     :data:`ROLE_INTERQUERY` pool (distinct from the morsel pools — these
-    tasks submit morsel work, sharing a pool would deadlock); without one it
-    spins up an ephemeral pool for the call, as the one-shot API always did.
+    tasks submit morsel work, sharing a pool would deadlock); without one (a
+    batch evaluator built outside a session) it spins up an ephemeral pool
+    for the call.
 
     Error semantics match the ephemeral pool on both paths: when one item's
     task raises, the call waits out (or cancels, if not yet started) every

@@ -1,9 +1,14 @@
 """Unit tests for the probabilistic top-k evaluator (Algorithm 4)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.answer import ProbabilisticAnswer
 from repro.core.evaluators.osharing import OSharingEvaluator
-from repro.core.evaluators.topk import TopKEvaluator, _TopKState
+from repro.core.evaluators.topk import TopKEvaluator
+from repro.core.utrace import interval_answers, top_k_final
+from repro.datagen.scenario import build_scenario
 from repro.workloads import paper_query
 
 
@@ -15,35 +20,72 @@ def exact_top_k(paper_example, query, k):
     return exact.answers.top_k(k)
 
 
-class TestTopKState:
-    def test_decide_inserts_and_updates_bounds(self):
-        state = _TopKState(k=1, ub=1.0)
-        done = state.decide(0.5, [])
-        assert not done
-        assert state.UB == pytest.approx(0.5)
-        done = state.decide(0.2, [("a",)])
-        assert state.entries[("a",)].lb == pytest.approx(0.2)
-        assert state.entries[("a",)].ub == pytest.approx(0.5)
-        assert not done
-        done = state.decide(0.2, [("a",), ("b",), ("c",)])
-        # The paper's Table II walk-through: after the third unit the top-1
-        # answer is decided without visiting the last e-unit.
-        assert state.entries[("a",)].lb == pytest.approx(0.4)
-        assert done
+def _settle(answers, mass, tuples):
+    if tuples:
+        answers.add_tuples(tuples, mass)
+    else:
+        answers.add_empty(mass)
 
-    def test_new_tuples_rejected_once_ub_below_lb(self):
-        state = _TopKState(k=1, ub=1.0)
-        state.decide(0.8, [("winner",)])
-        state.decide(0.1, [("late",)])
-        # 'late' cannot beat 'winner' (UB was 0.2 < LB 0.8): not inserted.
-        assert ("late",) not in state.entries
 
-    def test_ranked_orders_by_lower_bound(self):
-        state = _TopKState(k=2, ub=1.0)
-        state.decide(0.3, [("a",)])
-        state.decide(0.5, [("b",)])
-        assert [entry.values for entry in state.ranked()] == [("b",), ("a",)]
-        assert [entry.values for entry in state.top_k()] == [("b",), ("a",)]
+class TestTopKFinal:
+    def test_table_ii_walk_through(self):
+        # The paper's Table II walk-through: 0.5 of the mass settles with no
+        # answer, then 0.2 on {a}, then 0.2 on {a, b, c}.  After the third
+        # unit the top-1 answer is decided without visiting the last e-unit.
+        answers, unexplored = ProbabilisticAnswer(), 1.0
+        steps = [(0.5, []), (0.2, [("a",)]), (0.2, [("a",), ("b",), ("c",)])]
+        finality = []
+        for mass, tuples in steps:
+            _settle(answers, mass, tuples)
+            unexplored -= mass
+            intervals = interval_answers(answers, unexplored)
+            finality.append(top_k_final(intervals, unexplored, k=1))
+        assert finality == [False, False, True]
+        assert intervals[0].values == ("a",)
+        assert intervals[0].lb == pytest.approx(0.4)
+        assert intervals[0].ub == pytest.approx(0.5)
+
+    def test_intervals_rank_by_lower_bound(self):
+        answers = ProbabilisticAnswer.from_pairs([(("a",), 0.3), (("b",), 0.5)])
+        intervals = interval_answers(answers, 0.2)
+        assert [interval.values for interval in intervals] == [("b",), ("a",)]
+        assert top_k_final(intervals, 0.2, k=2)
+        # fewer than k tuples seen: final only once no mass is left
+        assert not top_k_final(intervals, 0.2, k=3)
+        assert top_k_final(interval_answers(answers, 0.0), 0.0, k=3)
+
+
+#: A settle sequence: integer weights (normalised to masses summing to 1),
+#: each landing on a set of answer tuples; an empty set is an unmatched group.
+settle_sequences = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=20), st.frozensets(st.sampled_from("abcdef"))),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(settles=settle_sequences, k=st.integers(min_value=1, max_value=4))
+def test_top_k_final_prefix_is_a_valid_top_k(settles, k):
+    """Whenever the stop rule fires on a prefix, its first k tuples are a top-k of the whole."""
+    total = sum(weight for weight, _ in settles)
+    steps = [(weight / total, sorted((value,) for value in values)) for weight, values in settles]
+    exact = ProbabilisticAnswer()
+    for mass, tuples in steps:
+        _settle(exact, mass, tuples)
+    expected = exact.top_k(k)
+
+    settled = ProbabilisticAnswer()
+    for index, (mass, tuples) in enumerate(steps):
+        _settle(settled, mass, tuples)
+        unexplored = sum(rest for rest, _ in steps[index + 1 :])
+        intervals = interval_answers(settled, unexplored)
+        if not top_k_final(intervals, unexplored, k):
+            continue
+        returned = [interval for interval in intervals if interval.lb > 0][:k]
+        assert len(returned) == len(expected)
+        for interval in returned:
+            assert exact.probability(interval.values) >= expected[-1].probability - 1e-9
 
 
 class TestTopKEvaluator:
@@ -206,18 +248,38 @@ class TestTopKAgainstFullRanking:
         assert result.stats.rows_output == reference.stats.rows_output
 
 
+@pytest.fixture(scope="module")
+def bench_excel():
+    """The Fig. 12 Excel scenario, where top-1 runs some queries to the end."""
+    return build_scenario(target="Excel", h=60, scale=0.03, seed=7)
+
+
+@pytest.mark.parametrize("query_id, stops", [("Q1", True), ("Q3", False), ("Q4", False)])
+def test_stopped_early_means_the_frontier_was_left(bench_excel, query_id, stops):
+    # Regression: stopped_early used to be True whenever the last settled
+    # unit drained the mass, i.e. on every drive, even one that created
+    # every e-unit o-sharing creates.
+    query = paper_query(query_id, bench_excel.target_schema)
+    run = (query, bench_excel.mappings, bench_excel.database)
+    exact = OSharingEvaluator(links=bench_excel.links).evaluate(*run)
+    result = TopKEvaluator(k=1, links=bench_excel.links).evaluate(*run)
+    assert result.details["stopped_early"] is stops
+    if stops:
+        assert result.stats.source_operators < exact.stats.source_operators
+    else:
+        assert result.details["units_created"] == exact.details["units_created"]
+
+
 class TestDeterministicTieBreak:
     def test_equal_probability_ties_break_on_canonical_tuple_order(self):
-        # Regression: ranked() used to tie-break on str(values), which orders
+        # Regression: ranking used to tie-break on str(values), which orders
         # ("b",) and (2,) by their ambiguous string forms.  The canonical
         # key sorts by (type name, str) per element — mixed-type ties get a
         # stable, replayable order (the anytime ranked prefix relies on it).
-        state = _TopKState(k=4, ub=1.0)
-        state.decide(0.25, [(2,)])
-        state.decide(0.25, [("b",)])
-        state.decide(0.25, [("a",)])
-        state.decide(0.25, [(10,)])
-        ranked = [entry.values for entry in state.ranked()]
+        answers = ProbabilisticAnswer.from_pairs(
+            (values, 0.25) for values in [(2,), ("b",), ("a",), (10,)]
+        )
+        ranked = [interval.values for interval in interval_answers(answers, 0.0)]
         # ints (type name "int") before strs (type name "str"); 10 < 2 as text
         assert ranked == [(10,), (2,), ("a",), ("b",)]
 
@@ -229,20 +291,14 @@ class TestDeterministicTieBreak:
         ]
         rankings = []
         for order in orders:
-            state = _TopKState(k=4, ub=1.0)
-            for values in order:
-                state.decide(0.25, [values])
-            rankings.append([entry.values for entry in state.ranked()])
+            answers = ProbabilisticAnswer.from_pairs((values, 0.25) for values in order)
+            rankings.append([interval.values for interval in interval_answers(answers, 0.0)])
         assert rankings[0] == rankings[1] == rankings[2]
 
     def test_tie_break_matches_probabilistic_answer_ranking(self):
-        from repro.core.answer import ProbabilisticAnswer
-
-        answers = ProbabilisticAnswer()
-        state = _TopKState(k=4, ub=1.0)
-        for values in [("b", 1), ("a", 2), ("a", 1), ("b", 0)]:
-            answers.add(values, 0.25)
-            state.decide(0.25, [values])
-        assert [entry.values for entry in state.ranked()] == [
+        answers = ProbabilisticAnswer.from_pairs(
+            (values, 0.25) for values in [("b", 1), ("a", 2), ("a", 1), ("b", 0)]
+        )
+        assert [interval.values for interval in interval_answers(answers, 0.0)] == [
             ranked.values for ranked in answers.ranked()
         ]
