@@ -14,7 +14,11 @@ gated — this may run on a 1-core container):
   agrees with the exact probability ranking position for position;
 * resuming a budgeted query to completion yields answers **byte-identical**
   to exact o-sharing, with cumulative operator totals equal to one exact
-  evaluation (no repeated work across resume steps).
+  evaluation (no repeated work across resume steps);
+* a budget is also top-k's second stop rule: a mapping-budgeted top-k
+  executes **no more** source operators than unbudgeted top-k, and its
+  resume chain driven until the top ``k`` is final answers byte-identically
+  to unbudgeted top-k at the same cumulative operator count.
 
 Emits ``BENCH_anytime.json`` at the repo root with per-query operator
 counts, interval widths and the resume-chain profile.
@@ -32,6 +36,7 @@ from repro.obs import write_bench_artifact
 from repro.workloads.queries import queries_for_target
 
 QUERY_IDS = ("Q1", "Q2", "Q3", "Q4", "Q5")
+TOP_K = 5
 BENCH_H = 60
 SCALE = 0.03
 def _session(scenario, **policy_fields):
@@ -139,16 +144,51 @@ def _run_query(scenario, query):
     }
 
 
+def _run_budgeted_top_k(scenario, query, mapping_limit):
+    """Budgeted top-k against unbudgeted top-k for one query."""
+    with _session(scenario) as session:
+        exact = session.top_k(query, k=TOP_K)
+    with _session(scenario) as session:
+        partial = session.top_k(query, k=TOP_K, budget={"mapping_limit": mapping_limit})
+    assert partial.stats.source_operators <= exact.stats.source_operators, (
+        f"{query.name}: budgeted top-k executed {partial.stats.source_operators} "
+        f"operators, unbudgeted {exact.stats.source_operators}"
+    )
+    result, steps = partial, 0
+    while not result.converged:
+        result = result.resume(budget={"mapping_limit": mapping_limit})
+        steps += 1
+        assert steps <= exact.details["units_created"], (
+            f"{query.name}: top-k resume chain stalled"
+        )
+    assert repr(result.answers) == repr(exact.answers), (
+        f"{query.name}: resumed top-k answers diverged from unbudgeted top-k"
+    )
+    assert result.stats.source_operators == exact.stats.source_operators, (
+        f"{query.name}: top-k resume chain repeated work "
+        f"({result.stats.source_operators} vs {exact.stats.source_operators})"
+    )
+    return {
+        "top_k_source_operators": exact.stats.source_operators,
+        "budgeted_top_k_source_operators": partial.stats.source_operators,
+        "top_k_resume_steps": steps,
+    }
+
+
 def test_anytime(benchmark, report_writer):
     scenario = build_scenario(target="Excel", h=BENCH_H, scale=SCALE, seed=7)
     specs = {spec.query_id: spec for spec in queries_for_target("Excel")}
     queries = [specs[query_id].build(scenario.target_schema) for query_id in QUERY_IDS]
 
-    entries = benchmark.pedantic(
-        lambda: [_run_query(scenario, query) for query in queries],
-        rounds=1,
-        iterations=1,
-    )
+    def run():
+        entries = []
+        for query in queries:
+            entry = _run_query(scenario, query)
+            entry.update(_run_budgeted_top_k(scenario, query, entry["budget_mapping_limit"]))
+            entries.append(entry)
+        return entries
+
+    entries = benchmark.pedantic(run, rounds=1, iterations=1)
 
     rows = [
         [
@@ -158,6 +198,9 @@ def test_anytime(benchmark, report_writer):
             round(entry["budgeted_unexplored_mass"], 4),
             entry["budgeted_converged"],
             entry["resume_steps"],
+            entry["top_k_source_operators"],
+            entry["budgeted_top_k_source_operators"],
+            entry["top_k_resume_steps"],
         ]
         for entry in entries
     ]
@@ -172,11 +215,16 @@ def test_anytime(benchmark, report_writer):
                 "unexplored",
                 "converged",
                 "resume steps",
+                f"top-{TOP_K} ops",
+                f"budgeted top-{TOP_K} ops",
+                "top-k resume steps",
             ],
             rows,
         )
         + "\n\nbudget = half the query's full mapping charge; resume chain "
         "refines quarter-size e-unit steps to byte-identical exact answers.\n"
+        f"budgeted top-{TOP_K} uses the same mapping budget per step and "
+        "resumes until the top k is final, byte-identical to unbudgeted top-k.\n"
         "(wall-clock reported, not gated: operator counts are the "
         "deterministic metric on 1-core CI)\n"
     )
@@ -193,8 +241,15 @@ def test_anytime(benchmark, report_writer):
             ),
             "resume_to_completion_byte_identical": True,  # asserted per query
             "resume_cumulative_ops_equal_exact": True,  # asserted per query
+            "budgeted_top_k_no_more_operators": all(
+                entry["budgeted_top_k_source_operators"]
+                <= entry["top_k_source_operators"]
+                for entry in entries
+            ),
+            "top_k_resume_byte_identical": True,  # asserted per query
         },
     }
     write_bench_artifact("anytime", payload)
 
     assert payload["gates"]["budgeted_strictly_fewer_operators"]
+    assert payload["gates"]["budgeted_top_k_no_more_operators"]

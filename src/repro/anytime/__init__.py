@@ -1,9 +1,9 @@
 """Anytime evaluation: budgeted queries with sound probability intervals.
 
-Anytime mode, ``method="anytime"``, and top-k (Section VII) share one
-bounds model — per-tuple ``[lb, lb + U]`` intervals over the u-trace's
-contribution log and frontier mass (:mod:`repro.core.utrace`); top-k stops
-on it, anytime stops on a budget and reports it:
+Anytime mode, ``method="anytime"``, and top-k (Section VII) are presets of
+one u-trace evaluator and share one bounds model — per-tuple ``[lb, lb + U]``
+intervals over the u-trace's contribution log and frontier mass
+(:mod:`repro.core.utrace`).  A budget is a stop rule of either preset:
 
 * :mod:`repro.anytime.budget` — :class:`Budget` /:class:`BudgetMeter`:
   deterministic mapping/e-unit limits (CI-gateable, replayable) plus a
@@ -11,15 +11,17 @@ on it, anytime stops on a budget and reports it:
 * :mod:`repro.anytime.progress` — :class:`AnytimeResult` with its
   :meth:`~AnytimeResult.resume` handle, and :class:`IntervalAnswer`
   re-exported from the core;
-* :mod:`repro.core.evaluators.anytime` — the evaluator itself, registered in
-  the :data:`~repro.core.evaluators.EVALUATORS` registry: the shared u-trace
-  core (:mod:`repro.core.utrace`) driven best-first under a budget.
+* :class:`~repro.core.evaluators.osharing.UTraceEvaluator` — the evaluator
+  itself, whose ``anytime`` preset runs best-first and whose ``top-k``
+  preset runs depth-first; either returns an :class:`AnytimeResult` when a
+  budget is given (anytime always does).
 
 The headline invariant (ARCHITECTURE.md invariant 11): with no budget (or
-an unreachable one) the anytime evaluator is **byte-identical** to exact
-o-sharing; under any deterministic budget the returned intervals always
-contain the exact probabilities and tighten monotonically across
-``resume()`` steps.
+an unreachable one) anytime is **byte-identical** to exact o-sharing and
+budgeted top-k to unbudgeted top-k; under any deterministic budget the
+returned intervals always contain the exact probabilities and tighten
+monotonically across ``resume()`` steps, and a resume chain driven to the
+end equals the unbudgeted result at the same cumulative operator count.
 """
 
 from repro.anytime.budget import Budget, BudgetMeter

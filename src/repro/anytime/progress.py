@@ -1,13 +1,13 @@
 """The anytime result: interval answers over a partially driven u-trace.
 
-The anytime evaluator drives the shared u-trace core
-(:mod:`repro.core.utrace` — frontier, contribution log, replay keys) under a
-budget.  Its bounds are the core's one bounds model, the same one top-k
-stops on: at any checkpoint each discovered tuple ``t`` has ``lb(t)`` = mass
-already confirmed and ``ub(t) = lb(t) + U`` where ``U`` (the *unexplored
-mass*) is the total mass still sitting on the frontier; ``lb ≤ Pr(t) ≤ ub``
-holds throughout and both bounds tighten monotonically as the frontier
-drains.  This module carries them to the caller:
+A budgeted drive of the u-trace evaluator (``method="anytime"``, or top-k
+given a budget) stops the shared u-trace core (:mod:`repro.core.utrace` —
+frontier, contribution log, replay keys) part-way.  Its bounds are the
+core's one bounds model, the same one top-k stops on: at any checkpoint
+each discovered tuple ``t`` has ``lb(t)`` = mass already confirmed and
+``ub(t) = lb(t) + U`` where ``U`` (the *unexplored mass*) is the total mass
+still sitting on the frontier; ``lb ≤ Pr(t) ≤ ub`` holds throughout and both
+bounds tighten monotonically as the frontier drains.  This module carries them to the caller:
 
 * :class:`IntervalAnswer` (defined in :mod:`repro.core.utrace`, re-exported);
 * an :class:`AnytimeResult` carrying them, with a :meth:`~AnytimeResult.resume`
@@ -21,6 +21,7 @@ from typing import Any, Callable, Iterable
 
 from repro.core.evaluators.base import EvaluationResult
 from repro.core.utrace import IntervalAnswer
+from repro.policy import reads
 from repro.relational.stats import ExecutionStats
 
 __all__ = [
@@ -36,11 +37,15 @@ class AnytimeResult(EvaluationResult):
 
     ``answers`` holds each discovered tuple at its **lower bound** (for an
     unbudgeted or drained drive that *is* the exact probability, byte for
-    byte); ``intervals`` carries the per-tuple ``[lb, ub]`` bounds ranked by
-    decreasing ``lb``; ``unexplored_mass`` is the frontier mass the budget
-    left unsettled; ``exhausted`` flags a drained (exact) frontier and
-    ``converged`` that the ranked order provably matches the exact ranking.
-    ``stats`` is cumulative across the initial drive and every ``resume``.
+    byte) — for top-k only the first ``k`` tuples with settled mass;
+    ``intervals`` carries every settled tuple's ``[lb, ub]`` bounds ranked by
+    decreasing ``lb``; ``unexplored_mass`` is the frontier mass left
+    unsettled; ``exhausted`` flags a drained (exact) frontier.
+    ``converged`` says the stop rule's question is settled: for anytime the
+    ranked order provably matches the exact ranking, for top-k the first
+    ``k`` tuples are provably a top-k (``top_k_final``), after which a
+    resume does no more work.  ``stats`` is cumulative across the initial
+    drive and every ``resume``.
     """
 
     intervals: tuple[IntervalAnswer, ...] = ()
@@ -48,6 +53,11 @@ class AnytimeResult(EvaluationResult):
     exhausted: bool = True
     converged: bool = True
     continuation: Any = field(default=None, repr=False)
+
+    @property
+    def stopped_by_budget(self) -> bool:
+        """True when the budget, not a drained frontier or top-k's rule, ended the drive."""
+        return not (self.exhausted or (reads(self.evaluator, "k") and self.converged))
 
     def interval_for(self, values: Iterable) -> IntervalAnswer:
         """The interval of one answer tuple (unseen tuples get ``[0, U]``)."""
@@ -60,8 +70,9 @@ class AnytimeResult(EvaluationResult):
     def resume(self, budget=None, budget_ms: float | None = None) -> "AnytimeResult":
         """Continue tightening from the saved frontier under a fresh budget.
 
-        With no budget the drive runs to exhaustion — the returned result is
-        then byte-identical to the exact o-sharing answer.  Raises
+        With no budget the drive runs until the frontier drains or top-k's
+        rule holds — the returned result is then byte-identical to the
+        unbudgeted evaluation of the same method.  Raises
         ``RuntimeError`` when the frontier is stale (a relation was written
         since) or when the result carries no continuation.
         """
@@ -74,7 +85,7 @@ class AnytimeResult(EvaluationResult):
 
 
 class AnytimeContinuation:
-    """The saved frontier of one anytime evaluation, resumable in-session.
+    """The saved frontier of one budgeted evaluation, resumable in-session.
 
     Holds everything a later drive needs — the partially driven
     :class:`~repro.core.utrace.UTrace`, the cumulative statistics — plus a

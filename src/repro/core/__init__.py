@@ -32,9 +32,9 @@ from repro.core.evaluators import (
     BatchResult,
     EvaluationResult,
     Evaluator,
+    TopKEvaluator,
     make_evaluator,
 )
-from repro.core.evaluators.topk import TopKEvaluator
 from repro.core.links import RelationLink, SchemaLinks
 from repro.core.metrics import o_ratio, overlap_series
 from repro.core.operator_selection import STRATEGIES, make_strategy

@@ -21,7 +21,7 @@ group runs next* and *when to stop*.  :class:`UTrace` owns everything else:
   :class:`~repro.relational.stats.ExecutionStats` as the events happen.
 
 An evaluator is then a priority and a stop rule (see
-``core/evaluators/{osharing,topk,anytime}.py``).
+:class:`~repro.core.evaluators.osharing.UTraceEvaluator`).
 
 The **bounds model** lives here too, beside the log and the frontier it is
 computed from: :func:`interval_answers` gives every settled tuple the

@@ -11,9 +11,9 @@ evaluator constructor.  The same validation serves every boundary:
 * per-call overrides on :meth:`repro.session.Session.query` and friends.
 
 Every field applies to the evaluators that understand it (``strategy`` to
-o-sharing/top-k, ``cache_size`` to the session plan cache and the batch
-evaluator, ...); :meth:`evaluator_options` maps a policy onto the exact
-constructor keywords of the selected method.
+o-sharing/top-k/anytime, ``budget`` to anytime/top-k, ``cache_size`` to the
+session plan cache and the batch evaluator, ...); :meth:`evaluator_options`
+maps a policy onto the exact constructor keywords of the selected method.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ import difflib
 from dataclasses import dataclass, fields, replace
 from typing import Any
 
-#: The ranked evaluation method (Section VII); not in the exact-answer
-#: registry but a first-class policy choice for sessions.
-TOP_K_METHOD = "top-k"
-
 
 def _strategy_names():
     from repro.core.operator_selection import STRATEGIES
@@ -33,23 +29,29 @@ def _strategy_names():
     return STRATEGIES
 
 
-#: Algorithm-tuning fields that only certain methods read.  An *explicitly
+#: Fields only certain methods read, and those methods.  An *explicitly
 #: passed* option from this table combined with an *explicitly chosen*
 #: method that ignores it is rejected — silently dropping it would let a
-#: user believe they ran a different configuration.  The remaining fields
-#: (``engine``, ``optimize``, ``parallel``, ``cache_size``, ``k``) configure
-#: session-level machinery every method shares and are never rejected.
+#: user believe they ran a different configuration.  Only the per-call
+#: override path is gated: the same fields as session-level defaults
+#: (``ExecutionPolicy(k=...)``, ``connect(scenario, cache_size=...)``) are
+#: never rejected, because they configure whichever later calls read them
+#: (``k`` a later ``top_k``; ``cache_size`` the session plan cache that
+#: batch and e-mqo share).  The fields outside the table (``engine``,
+#: ``optimize``, ``parallel``, ...) configure machinery every method shares.
 _METHOD_ONLY_OPTIONS: dict[str, tuple[str, ...]] = {
-    "strategy": ("o-sharing", TOP_K_METHOD, "anytime"),
-    "seed": ("o-sharing", TOP_K_METHOD, "anytime"),
+    "strategy": ("o-sharing", "top-k", "anytime"),
+    "seed": ("o-sharing", "top-k", "anytime"),
     "prune_empty": ("o-sharing",),
-    # Only the explicit-override path is gated: ExecutionPolicy(k=...) or
-    # ExecutionPolicy(cache_size=...) as session-level defaults bypass
-    # check_applicable (a session's plan cache serves batch AND e-mqo).
-    "k": (TOP_K_METHOD,),
+    "k": ("top-k",),
+    "budget": ("anytime", "top-k"),
     "cache_size": ("batch", "e-mqo"),
-    "budget": ("anytime",),
 }
+
+
+def reads(method: str, option: str) -> bool:
+    """True when ``method`` reads the method-only ``option``."""
+    return method in _METHOD_ONLY_OPTIONS[option]
 
 
 def check_applicable(method: str, option_names) -> None:
@@ -66,7 +68,7 @@ def check_applicable(method: str, option_names) -> None:
 def _method_names() -> tuple[str, ...]:
     from repro.core.evaluators import EVALUATORS
 
-    return tuple(sorted(EVALUATORS)) + (TOP_K_METHOD,)
+    return tuple(sorted(EVALUATORS))
 
 
 def _engine_names() -> tuple[str, ...]:
@@ -118,7 +120,7 @@ class ExecutionPolicy:
     optimize:
         Run every source plan through the cost-based optimizer (default on).
     strategy:
-        o-sharing/top-k operator-selection strategy: ``"sef"`` (default),
+        o-sharing/top-k/anytime operator-selection strategy: ``"sef"`` (default),
         ``"snf"`` or ``"random"``.
     seed:
         Seed of the ``"random"`` strategy (ignored by the deterministic ones).
@@ -131,14 +133,20 @@ class ExecutionPolicy:
         Bound of the session-owned plan cache (entries, LRU-evicted); also
         the batch evaluator's cache bound outside a session.
     k:
-        Answer count for ``"top-k"`` (and the default ``k`` of
-        :meth:`~repro.session.Session.top_k`).
+        Answer count for ``"top-k"``, its stop rule (and the default ``k``
+        of :meth:`~repro.session.Session.top_k`).  As a per-call override it
+        is valid for ``"top-k"`` only; as a session default it is never
+        rejected.
     budget:
-        Exploration bound for ``"anytime"``: a
-        :class:`~repro.anytime.budget.Budget` or a mapping of its fields
-        (``mapping_limit``, ``eunit_limit``, ``wall_ms``).  ``None``
-        (default) means unbounded — anytime then returns exact answers
-        byte-identical to o-sharing.
+        Exploration bound for ``"anytime"`` and ``"top-k"``, their second
+        stop rule: a :class:`~repro.anytime.budget.Budget` or a mapping of
+        its fields (``mapping_limit``, ``eunit_limit``, ``wall_ms``).  A
+        budgeted call returns an
+        :class:`~repro.anytime.progress.AnytimeResult` (intervals plus a
+        ``resume()`` handle).  ``None`` (default) means unbounded — anytime
+        then returns exact answers byte-identical to o-sharing, and top-k
+        its plain ranked result.  As a session default it bounds anytime
+        calls only: top-k reads a budget passed with the call.
     trace:
         Record a per-query span tree on the session's
         :class:`~repro.obs.trace.Tracer` (session → optimize → execute →
@@ -217,8 +225,11 @@ class ExecutionPolicy:
                     "slow_query_seconds must be a positive number (or None), "
                     f"got {threshold!r}"
                 )
-        if self.method == TOP_K_METHOD and self.k is None:
-            raise ValueError('method "top-k" requires k (e.g. ExecutionPolicy(method="top-k", k=10))')
+        if self.method == "top-k" and self.k is None:
+            raise ValueError(
+                'top-k needs k: method "top-k" requires k (pass '
+                "session.top_k(query, k=10) or set ExecutionPolicy(k=10))"
+            )
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -276,25 +287,20 @@ class ExecutionPolicy:
         return described
 
     # ------------------------------------------------------------------ #
-    def evaluator_options(self, method: str | None = None) -> dict[str, Any]:
-        """Constructor keywords for ``method`` (default: this policy's method).
+    def evaluator_options(self) -> dict[str, Any]:
+        """Constructor keywords for this policy's method.
 
         Only the fields the selected evaluator understands are included, so
         the result can be splatted straight into the registry constructors.
         """
-        method = self.method if method is None else method
         options: dict[str, Any] = {
             "engine": self.engine,
             "optimize": self.optimize,
             "parallel": self.parallel,
         }
-        if method in ("o-sharing", TOP_K_METHOD, "anytime"):
-            options["strategy"] = self.strategy
-            options["seed"] = self.seed
-        if method == "o-sharing":
-            options["prune_empty"] = self.prune_empty
-        if method == "anytime":
-            options["budget"] = self.budget
-        if method == "batch":
+        for name in ("strategy", "seed", "prune_empty", "k", "budget"):
+            if reads(self.method, name):
+                options[name] = getattr(self, name)
+        if self.method == "batch":
             options["cache_size"] = self.cache_size
         return options

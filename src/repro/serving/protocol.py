@@ -292,10 +292,10 @@ def _counters(stats) -> dict[str, Any]:
 def result_payload(result) -> dict[str, Any]:
     """One :class:`~repro.core.evaluators.base.EvaluationResult` on the wire.
 
-    An anytime result (the ``budget`` request field routes to
-    ``method="anytime"``) additionally carries its interval section: per-tuple
-    ``[lb, ub]`` bounds, the global unexplored mass and the
-    ``exhausted``/``converged`` flags.  All of it is deterministic under the
+    A budgeted result (the ``budget`` request field of ``query`` or
+    ``top_k``, or ``method="anytime"``) additionally carries its interval
+    section: per-tuple ``[lb, ub]`` bounds, the global unexplored mass and
+    the ``exhausted``/``converged`` flags.  All of it is deterministic under the
     wire-admissible (mapping/e-unit) budgets, so budgeted responses stay
     inside the serial-replay byte-identity envelope.
     """

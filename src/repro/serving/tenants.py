@@ -67,11 +67,11 @@ class TenantQuota:
     and one hot tenant cannot starve the others' queues.  ``max_batch``
     bounds how many queries a single ``query_many`` request may carry.
 
-    ``mapping_budget_cap`` clamps the ``mapping_limit`` of any anytime
-    ``budget`` a request carries (absent or larger requested limits are
-    capped down, smaller ones kept) — a tenant allowed only bounded anytime
-    work cannot request an unbounded drive.  The cap is deterministic, so
-    capped requests still replay byte-identically.
+    ``mapping_budget_cap`` clamps the ``mapping_limit`` of any ``budget`` a
+    ``query`` or ``top_k`` request carries (absent or larger requested limits
+    are capped down, smaller ones kept) — a tenant allowed only bounded
+    budgeted work cannot request an unbounded drive.  The cap is
+    deterministic, so capped requests still replay byte-identically.
     """
 
     queue_limit: int = 16
@@ -288,10 +288,7 @@ class Tenant:
     # ------------------------------------------------------------------ #
     def _op_query(self, request) -> dict[str, Any]:
         query = self._catalog_query(request.get("query"))
-        overrides = self._overrides(request)
-        budget = self._budget(request)
-        if budget is not None:
-            overrides["budget"] = budget
+        overrides = {**self._overrides(request), **self._budget(request)}
         result = self._session_call(
             lambda: self.session.query(query, **overrides)
         )
@@ -309,7 +306,12 @@ class Tenant:
                 f"batch of {len(names)} queries exceeds tenant "
                 f"{self.name!r} quota max_batch={self.quota.max_batch}",
             )
-        self._no_budget(request, "query_many")
+        if request.get("budget") is not None:
+            raise ProtocolError(
+                "bad-overrides",
+                'budget applies to the "query" and "top_k" ops only, not '
+                "'query_many' (it is a stop rule of anytime and top-k)",
+            )
         queries = [self._catalog_query(name) for name in names]
         overrides = self._overrides(request)
         batch = self._session_call(
@@ -319,13 +321,12 @@ class Tenant:
 
     def _op_top_k(self, request) -> dict[str, Any]:
         query = self._catalog_query(request.get("query"))
-        self._no_budget(request, "top_k")
         k = request.get("k")
         if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
             raise ProtocolError(
                 "bad-request", f"k must be a positive integer, got {k!r}"
             )
-        overrides = self._overrides(request)
+        overrides = {**self._overrides(request), **self._budget(request)}
         result = self._session_call(
             lambda: self.session.top_k(query, k=k, **overrides)
         )
@@ -425,18 +426,20 @@ class Tenant:
                 )
         return dict(overrides)
 
-    def _budget(self, request):
-        """The request's validated (and quota-capped) anytime budget.
+    def _budget(self, request) -> dict[str, Any]:
+        """The request's validated, quota-capped budget as an override (or ``{}``).
 
-        Only the deterministic limits are wire-admissible: a ``wall_ms``
-        budget cut depends on the serving machine's clock, so a budgeted
-        response carrying one could never replay byte-identically — it is
-        refused here, not silently dropped.  Unknown fields get the same
-        did-you-mean ``bad-overrides`` error every policy boundary produces.
+        The ``query`` and ``top_k`` ops read it: a budget is a stop rule of
+        the anytime and top-k methods.  Only the deterministic limits are
+        wire-admissible: a ``wall_ms`` budget cut depends on the serving
+        machine's clock, so a budgeted response carrying one could never
+        replay byte-identically — it is refused here, not silently dropped.
+        Unknown fields get the same did-you-mean ``bad-overrides`` error
+        every policy boundary produces.
         """
         spec = request.get("budget")
         if spec is None:
-            return None
+            return {}
         if not isinstance(spec, dict):
             raise ProtocolError(
                 "bad-overrides",
@@ -459,15 +462,7 @@ class Tenant:
         cap = self.quota.mapping_budget_cap
         if cap is not None:
             budget = budget.capped(cap)
-        return budget
-
-    def _no_budget(self, request, op: str) -> None:
-        if request.get("budget") is not None:
-            raise ProtocolError(
-                "bad-overrides",
-                f'budget applies to the "query" op only, not {op!r} '
-                "(it routes the request to the anytime evaluator)",
-            )
+        return {"budget": budget}
 
     def _session_call(self, call):
         """Run one session call, mapping its ValueErrors onto the wire.

@@ -57,15 +57,15 @@ from functools import partial
 from time import perf_counter
 from typing import Any, Iterable, Iterator, Sequence
 
+from repro.anytime.progress import AnytimeResult
 from repro.core.evaluators import EVALUATORS, SharedState
 from repro.core.evaluators.base import EvaluationResult
 from repro.core.evaluators.batch import BatchEvaluator, BatchResult
-from repro.core.evaluators.topk import TopKEvaluator
 from repro.core.links import SchemaLinks
 from repro.core.target_query import TargetQuery
 from repro.obs import MetricsRegistry, MetricsSnapshot, Tracer
 from repro.obs.trace import activate
-from repro.policy import TOP_K_METHOD, ExecutionPolicy, check_applicable
+from repro.policy import ExecutionPolicy, check_applicable, reads
 from repro.relational.database import Database
 from repro.relational.plancache import PlanCache
 from repro.relational.stats import ExecutionStats
@@ -337,42 +337,19 @@ class Session:
         Returns an :class:`EvaluationResult`; a warm session returns
         byte-identical answers to a fresh one, having done less work.
 
-        Two budget conveniences route to the anytime evaluator: ``budget=``
-        (a :class:`~repro.anytime.budget.Budget` or a dict of its fields)
-        and ``budget_ms=`` (shorthand for ``budget=Budget(wall_ms=...)``).
-        Either one implies ``method="anytime"`` unless a method is chosen
-        explicitly, and the returned
+        Two budget conveniences: ``budget=`` (a
+        :class:`~repro.anytime.budget.Budget` or a dict of its fields) and
+        ``budget_ms=`` (shorthand for ``budget=Budget(wall_ms=...)``).  A
+        budget is a stop rule of the methods that read one (anytime, top-k);
+        when the effective method reads none and no method is chosen
+        explicitly, it implies ``method="anytime"``.  The returned
         :class:`~repro.anytime.progress.AnytimeResult` carries per-tuple
         probability intervals plus a ``resume()`` handle whose refinement
         steps keep feeding this session's statistics and metrics.
         """
         with self._serving():
             policy = self._resolve(self._budgeted(overrides))
-            if policy.method == TOP_K_METHOD:
-                return self._run_top_k(query, policy)
-            with self._traced(
-                "session.query",
-                query=query.name,
-                method=policy.method,
-                engine=policy.engine,
-            ):
-                evaluator = EVALUATORS[policy.method](
-                    links=self.links, shared=self._shared, **policy.evaluator_options()
-                )
-                if policy.method == "batch":
-                    # A batch evaluation of one query keeps its planning-phase
-                    # counters on the workload-level stats; record those so the
-                    # session lifetime totals stay complete.
-                    batch = evaluator.evaluate_many(
-                        [query], self.mappings, self.database
-                    )
-                    self._record(batch.stats, queries=1)
-                    return batch.results[0]
-                result = evaluator.evaluate(query, self.mappings, self.database)
-                self._record(result.stats, queries=1)
-                if policy.method == "anytime":
-                    self._observe_anytime(result)
-                return result
+            return self._evaluate(query, policy, "session.query", method=policy.method)
 
     def query_many(
         self, queries: Sequence[TargetQuery], **overrides: Any
@@ -392,7 +369,7 @@ class Session:
                 evaluator = BatchEvaluator(
                     links=self.links,
                     shared=self._shared,
-                    **policy.evaluator_options("batch"),
+                    **policy.evaluator_options(),
                 )
                 batch = evaluator.evaluate_many(queries, self.mappings, self.database)
                 self._record(batch.stats, workloads=1)
@@ -404,20 +381,48 @@ class Session:
         """Evaluate a probabilistic top-k query (Section VII).
 
         ``k`` defaults to the policy's ``k``; one of the two must be set.
+        ``budget=`` / ``budget_ms=`` add the budget stop rule, as on
+        :meth:`query`: the result is then a resumable
+        :class:`~repro.anytime.progress.AnytimeResult`.
         """
         with self._serving():
             if k is not None:
                 overrides = {**overrides, "k": k}
-            policy = self._resolve(overrides, method=TOP_K_METHOD)
-            return self._run_top_k(query, policy)
+            policy = self._resolve(self._budgeted(overrides, "top-k"), method="top-k")
+            return self._evaluate(query, policy, "session.top_k", k=policy.k)
 
-    def _budgeted(self, overrides: dict[str, Any]) -> dict[str, Any]:
-        """Normalise the ``budget=``/``budget_ms=`` conveniences of query().
+    def _evaluate(
+        self, query: TargetQuery, policy: ExecutionPolicy, span: str, **attributes: Any
+    ) -> EvaluationResult:
+        """Run one query on the registry evaluator of ``policy.method``."""
+        with self._traced(span, query=query.name, engine=policy.engine, **attributes):
+            evaluator = EVALUATORS[policy.method](
+                links=self.links, shared=self._shared, **policy.evaluator_options()
+            )
+            if policy.method == "batch":
+                # A batch evaluation of one query keeps its planning-phase
+                # counters on the workload-level stats; record those so the
+                # session lifetime totals stay complete.
+                batch = evaluator.evaluate_many([query], self.mappings, self.database)
+                self._record(batch.stats, queries=1)
+                return batch.results[0]
+            result = evaluator.evaluate(query, self.mappings, self.database)
+            self._record(result.stats, queries=1)
+            if isinstance(result, AnytimeResult):
+                self._observe_anytime(result)
+            return result
 
-        ``budget_ms`` becomes ``budget=Budget(wall_ms=...)``; either budget
-        form implies ``method="anytime"`` when no method was chosen (the
-        anytime evaluator is the only one that reads a budget, and
-        ``check_applicable`` would rightly reject the pair otherwise).
+    def _budgeted(
+        self, overrides: dict[str, Any], method: str | None = None
+    ) -> dict[str, Any]:
+        """Normalise the ``budget=``/``budget_ms=`` conveniences.
+
+        ``budget_ms`` becomes ``budget=Budget(wall_ms=...)``.  A budget
+        implies ``method="anytime"`` only when no method was chosen and the
+        effective method (the call's ``method``, else the session's) reads
+        no budget — ``check_applicable`` would rightly reject the pair
+        otherwise; top-k and anytime read it themselves.  Top-k reads only a
+        per-call budget (see :meth:`_resolve`).
         """
         if "budget_ms" in overrides:
             if overrides.get("budget") is not None:
@@ -429,7 +434,7 @@ class Session:
         if (
             overrides.get("budget") is not None
             and "method" not in overrides
-            and self.policy.method != "anytime"
+            and not reads(method or self.policy.method, "budget")
         ):
             overrides = {**overrides, "method": "anytime"}
         return overrides
@@ -457,7 +462,7 @@ class Session:
             "repro_anytime_unexplored_mass",
             "Unexplored probability mass after the most recent anytime drive.",
         ).set(result.unexplored_mass)
-        if not result.exhausted:
+        if result.stopped_by_budget:
             registry.counter(
                 "repro_anytime_budget_exhausted_total",
                 "Anytime drives stopped by their budget before the frontier drained.",
@@ -510,28 +515,14 @@ class Session:
                 "per-call method choice)"
             )
         policy = self.policy.with_overrides(**overrides)
-        effective = method if method is not None else policy.method
-        check_applicable(effective, (name for name in overrides if name != "method"))
+        if method is not None:
+            policy = policy.with_defaults(method=method)
+        check_applicable(policy.method, (name for name in overrides if name != "method"))
+        if policy.method == "top-k" and overrides.get("budget") is None:
+            # Top-k's budget is a per-call stop rule; a session default
+            # budget configures anytime calls, not top-k ones.
+            policy = policy.with_defaults(budget=None)
         return policy
-
-    def _run_top_k(self, query: TargetQuery, policy: ExecutionPolicy) -> EvaluationResult:
-        if policy.k is None:
-            raise ValueError(
-                "top-k needs k: pass session.top_k(query, k=10) or set "
-                "ExecutionPolicy(k=10)"
-            )
-        with self._traced(
-            "session.top_k", query=query.name, k=policy.k, engine=policy.engine
-        ):
-            evaluator = TopKEvaluator(
-                k=policy.k,
-                links=self.links,
-                shared=self._shared,
-                **policy.evaluator_options(TOP_K_METHOD),
-            )
-            result = evaluator.evaluate(query, self.mappings, self.database)
-            self._record(result.stats, queries=1)
-            return result
 
     def serve(
         self, requests: Iterable[TargetQuery | tuple[TargetQuery, dict]]

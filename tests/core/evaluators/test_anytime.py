@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 from repro.anytime import Budget, IntervalAnswer
 from repro.core.answer import PROBABILITY_TOLERANCE
 from repro.core.evaluators import EVALUATORS
-from repro.core.evaluators.anytime import AnytimeEvaluator
-from repro.core.evaluators.osharing import OSharingEvaluator
+from repro.core.evaluators.osharing import AnytimeEvaluator, OSharingEvaluator
 from repro.core.utrace import ranking_converged
 from repro.relational.executor import available_engines
 from repro.relational.parallel import ParallelConfig

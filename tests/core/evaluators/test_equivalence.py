@@ -13,7 +13,8 @@ from repro.bench.harness import cold_query
 from repro.core.evaluators import EVALUATORS
 from repro.workloads import paper_query, product_query, selection_query
 
-ALL_METHODS = list(EVALUATORS)
+#: Every exact-answer method (top-k answers only its first k tuples).
+ALL_METHODS = [method for method in EVALUATORS if method != "top-k"]
 SHARING_METHODS = ["e-basic", "q-sharing", "o-sharing"]
 
 

@@ -1,12 +1,13 @@
-"""Unit tests for the probabilistic top-k evaluator (Algorithm 4)."""
+"""Unit tests for the probabilistic top-k evaluator (Algorithm 4), budgeted or not."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import AnytimeResult, connect
 from repro.core.answer import ProbabilisticAnswer
-from repro.core.evaluators.osharing import OSharingEvaluator
-from repro.core.evaluators.topk import TopKEvaluator
+from repro.core.evaluators import make_evaluator
+from repro.core.evaluators.osharing import OSharingEvaluator, TopKEvaluator
 from repro.core.utrace import interval_answers, top_k_final
 from repro.datagen.scenario import build_scenario
 from repro.workloads import paper_query
@@ -88,10 +89,163 @@ def test_top_k_final_prefix_is_a_valid_top_k(settles, k):
             assert exact.probability(interval.values) >= expected[-1].probability - 1e-9
 
 
+#: Optimizer bookkeeping: each drive of a resume chain plans with its own
+#: executor, so its memo hits differ from one drive's; the work does not.
+_PLANNING = ("plans_optimized", "optimizer_memo_hits", "join_orders_considered", "estimated_rows")
+
+
+def _work(result) -> dict:
+    """Every work counter of a result's stats (wall-clock and planning excluded)."""
+    snapshot = result.stats.snapshot()
+    for name in ("phase_seconds",) + _PLANNING:
+        snapshot.pop(name)
+    return snapshot
+
+
+def _assert_same_top_k(result, reference):
+    """Byte-identical answers, work counters and shared ``details`` keys."""
+    assert repr(result.answers) == repr(reference.answers)
+    assert _work(result) == _work(reference)
+    for key, value in reference.details.items():
+        assert result.details[key] == value, key
+
+
+@pytest.fixture(scope="module")
+def excel_queries(excel_scenario):
+    return [
+        paper_query(query_id, excel_scenario.target_schema)
+        for query_id in ("Q1", "Q2", "Q3", "Q4")
+    ]
+
+
+def _top_k(scenario, query, k, **options):
+    return TopKEvaluator(k=k, links=scenario.links, **options).evaluate(
+        query, scenario.mappings, scenario.database
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    query_index=st.integers(min_value=0, max_value=3),
+    k=st.integers(min_value=1, max_value=4),
+    step=st.integers(min_value=1, max_value=6),
+)
+def test_top_k_final_prefix_is_a_valid_top_k_through_a_budgeted_drive(
+    excel_scenario, excel_queries, query_index, k, step
+):
+    """The same property, on a real drive: every step of a budgeted resume chain
+    whose stop rule holds answers a top-k of the exact answer."""
+    query = excel_queries[query_index]
+    exact = OSharingEvaluator(links=excel_scenario.links).evaluate(
+        query, excel_scenario.mappings, excel_scenario.database
+    ).answers
+    expected = exact.top_k(k)
+    result = _top_k(excel_scenario, query, k, budget={"eunit_limit": step})
+    while True:
+        if result.converged:
+            assert len(result.answers) == len(expected)
+            for values in result.answers.tuples:
+                assert exact.probability(values) >= expected[-1].probability - 1e-9
+            break
+        result = result.resume(budget={"eunit_limit": step})
+
+
+class TestBudgetedTopK:
+    """A budget is top-k's second stop rule: sound, a prefix, resumable."""
+
+    @pytest.mark.parametrize("query_id", ["Q1", "Q2", "Q3", "Q4"])
+    @pytest.mark.parametrize(
+        "budget", [{"mapping_limit": 0}, {"mapping_limit": 8}, {"eunit_limit": 3}]
+    )
+    def test_intervals_contain_the_exact_probabilities(self, excel_scenario, query_id, budget):
+        query = paper_query(query_id, excel_scenario.target_schema)
+        exact = OSharingEvaluator(links=excel_scenario.links).evaluate(
+            query, excel_scenario.mappings, excel_scenario.database
+        ).answers
+        result = _top_k(excel_scenario, query, 2, budget=budget)
+        assert isinstance(result, AnytimeResult)
+        for interval in result.intervals:
+            assert interval.lb - 1e-9 <= exact.probability(interval.values) <= interval.ub + 1e-9
+        seen = {interval.values for interval in result.intervals}
+        for values, probability in exact.items():
+            if values not in seen:
+                assert probability <= result.unexplored_mass + 1e-9
+        for values, lb in result.answers.items():
+            assert result.interval_for(values).lb == lb
+
+    @pytest.mark.parametrize("query_id", ["Q1", "Q2", "Q3", "Q4"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_resume_chain_equals_unbudgeted_top_k(self, excel_scenario, query_id, k):
+        query = paper_query(query_id, excel_scenario.target_schema)
+        reference = _top_k(excel_scenario, query, k)
+        result = _top_k(excel_scenario, query, k, budget={"mapping_limit": 0})
+        assert result.stats.source_operators == 0
+        steps = 0
+        while not result.converged:
+            before = result.stats.source_operators
+            result = result.resume(budget={"eunit_limit": 2})
+            assert result.stats.source_operators >= before
+            steps += 1
+            assert steps <= reference.details["units_created"]
+        # resuming a converged top-k does no more work
+        again = result.resume()
+        assert _work(again) == _work(result)
+        _assert_same_top_k(result, reference)
+
+    @pytest.mark.parametrize("query_id", ["Q1", "Q3", "Q4"])
+    def test_unreachable_budget_is_unbudgeted_top_k(self, excel_scenario, query_id):
+        query = paper_query(query_id, excel_scenario.target_schema)
+        reference = _top_k(excel_scenario, query, 2)
+        result = _top_k(excel_scenario, query, 2, budget={"mapping_limit": 10**6})
+        assert not result.stopped_by_budget
+        _assert_same_top_k(result, reference)
+
+    def test_budget_executes_a_prefix(self, excel_scenario):
+        query = paper_query("Q4", excel_scenario.target_schema)
+        reference = _top_k(excel_scenario, query, 1)
+        result = _top_k(excel_scenario, query, 1, budget={"eunit_limit": 4})
+        assert result.stopped_by_budget
+        assert result.stats.source_operators <= reference.stats.source_operators
+        assert result.details["units_created"] <= reference.details["units_created"]
+
+    def test_every_entry_point_runs_the_same_top_k(self, paper_example):
+        query = paper_example.q_phone_by_addr()
+        with connect(paper_example) as session:
+            reference = session.top_k(query, 3)
+            via_query = session.query(query, method="top-k", k=3)
+        direct = make_evaluator("top-k", links=paper_example.links, k=3).evaluate(
+            query, paper_example.mappings, paper_example.database
+        )
+        for result in (via_query, direct):
+            assert result.evaluator == "top-k"
+            _assert_same_top_k(result, reference)
+            assert result.details == reference.details
+
+
 class TestTopKEvaluator:
     def test_k_must_be_positive(self, paper_example):
         with pytest.raises(ValueError):
             TopKEvaluator(k=0, links=paper_example.links)
+        with pytest.raises(ValueError, match="positive k"):
+            TopKEvaluator(links=paper_example.links)
+
+    def test_k_is_keyword_only(self, paper_example):
+        with pytest.raises(TypeError):
+            TopKEvaluator(paper_example.links, 3)
+
+    @pytest.mark.parametrize(
+        "method, option",
+        [
+            ("o-sharing", {"k": 3}),
+            ("o-sharing", {"budget": {"mapping_limit": 1}}),
+            ("anytime", {"k": 3}),
+            ("anytime", {"prune_empty": False}),
+            ("top-k", {"k": 3, "prune_empty": False}),
+        ],
+    )
+    def test_presets_reject_options_they_do_not_read(self, paper_example, method, option):
+        with pytest.raises(ValueError, match="does not apply to method"):
+            make_evaluator(method, links=paper_example.links, **option)
 
     def test_top1_matches_exact_ranking(self, paper_example):
         query = paper_example.q_phone_by_addr()
@@ -234,8 +388,8 @@ class TestTopKAgainstFullRanking:
 
     @pytest.mark.parametrize("engine", ["row", "columnar"])
     def test_topk_engine_parity(self, excel_scenario, engine):
-        # The top-k evaluator is not in the EVALUATORS registry the
-        # differential harness sweeps, so pin its engine parity here.
+        # The differential harness sweeps only the exact-answer methods, so
+        # pin top-k's engine parity here.
         query = paper_query("Q3", excel_scenario.target_schema)
         reference = TopKEvaluator(k=2, links=excel_scenario.links, engine="row").evaluate(
             query, excel_scenario.mappings, excel_scenario.database

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro import Session
 from repro.core.answer import ProbabilisticAnswer
-from repro.core.evaluators.topk import TopKEvaluator
+from repro.core.evaluators.osharing import TopKEvaluator
 from repro.core.links import SchemaLinks
 from repro.core.partition_tree import partition, partition_naive, represent
 from repro.core.target_query import TargetQuery

@@ -5,9 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.eunit import EUnit
-from repro.core.evaluators.anytime import best_first
-from repro.core.evaluators.osharing import trace_order
-from repro.core.evaluators.topk import depth_first
+from repro.core.evaluators.osharing import best_first, depth_first, trace_order
 from repro.core.operator_selection import make_strategy
 from repro.core.utrace import GroupTask, UTrace, root_unit
 from repro.relational.executor import Executor

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.core.answer import ProbabilisticAnswer
 from repro.serving import ReproServer, TenantQuota, serial_replay
+from repro.serving.protocol import answer_payload
 
 from tests.serving.conftest import connect, make_spec, run
 
@@ -57,6 +59,28 @@ def test_budgeted_query_returns_interval_section():
     run(scenario())
 
 
+def test_budgeted_top_k_carries_the_anytime_section():
+    async def scenario():
+        async with _server() as server:
+            client = await connect(server)
+            try:
+                plain = await client.top_k("alpha", "q_phone", k=1)
+                assert "anytime" not in plain["result"]
+                budgeted = await client.top_k(
+                    "alpha", "q_phone", k=1, budget={"mapping_limit": 10_000}
+                )
+                anytime = budgeted["result"]["anytime"]
+                # an unreachable budget stops where top-k's own rule does
+                assert anytime["converged"] is True
+                assert budgeted["result"]["answers"] == plain["result"]["answers"]
+                assert budgeted["result"]["counters"] == plain["result"]["counters"]
+                assert anytime["intervals"][0]["values"] == ["456"]
+            finally:
+                await client.close()
+
+    run(scenario())
+
+
 def test_quota_caps_the_wire_budget():
     # Capped tenant: a huge requested mapping_limit is clamped to 0, so the
     # run executes nothing.  The same request on an uncapped tenant drains
@@ -76,6 +100,13 @@ def test_quota_caps_the_wire_budget():
                 assert capped["result"]["anytime"]["exhausted"] is False
                 assert capped["result"]["anytime"]["unexplored_mass"] > 0
                 assert open_["result"]["anytime"]["exhausted"] is True
+
+                # the cap clamps a top_k budget the same way
+                capped = await client.top_k("capped", "q2", k=1, budget=budget)
+                open_ = await client.top_k("open", "q2", k=1, budget=budget)
+                assert capped["result"]["anytime"]["converged"] is False
+                assert capped["result"]["counters"]["source_operators"] == 0
+                assert open_["result"]["anytime"]["converged"] is True
             finally:
                 await client.close()
 
@@ -130,15 +161,24 @@ def test_budget_field_validation_errors():
     run(scenario())
 
 
-def test_budget_applies_to_the_query_op_only():
+def test_budget_applies_to_query_and_top_k_not_query_many():
     async def scenario():
         async with _server() as server:
             client = await connect(server)
             try:
                 top_k = await client.top_k(
-                    "alpha", "q2", budget={"mapping_limit": 1}
+                    "alpha", "q2", k=1, budget={"mapping_limit": 0}
                 )
-                _assert_bad_overrides(top_k, '"query" op only', "top_k")
+                assert top_k["ok"] is True
+                assert top_k["result"]["evaluator"] == "top-k"
+                assert top_k["result"]["anytime"]["exhausted"] is False
+                assert top_k["result"]["answers"] == answer_payload(
+                    ProbabilisticAnswer()
+                )
+                wall = await client.top_k(
+                    "alpha", "q2", k=1, budget={"wall_ms": 5.0}
+                )
+                _assert_bad_overrides(wall, "wall_ms", "serial replay")
 
                 many = await client.request(
                     "query_many",
@@ -146,7 +186,7 @@ def test_budget_applies_to_the_query_op_only():
                     queries=["q0", "q1"],
                     budget={"mapping_limit": 1},
                 )
-                _assert_bad_overrides(many, '"query" op only', "query_many")
+                _assert_bad_overrides(many, '"top_k" ops only', "query_many")
             finally:
                 await client.close()
 
@@ -173,7 +213,7 @@ def test_budget_is_not_an_override():
 # budgeted requests inside the byte-identity envelope
 # --------------------------------------------------------------------------- #
 def test_budgeted_requests_replay_byte_identically():
-    """Concurrent budgeted + exact traffic matches an isolated serial run."""
+    """Concurrent budgeted (query and top_k) + exact traffic matches a serial run."""
     script = [
         {"op": "query", "tenant": "alpha", "query": "q2",
          "budget": {"mapping_limit": 2}},
@@ -183,6 +223,10 @@ def test_budgeted_requests_replay_byte_identically():
         {"op": "query", "tenant": "alpha", "query": "q2", "budget": {}},
         {"op": "query", "tenant": "alpha", "query": "q_phone",
          "budget": {"mapping_limit": 0}},
+        {"op": "top_k", "tenant": "alpha", "query": "q_phone", "k": 1,
+         "budget": {"eunit_limit": 1}},
+        {"op": "top_k", "tenant": "alpha", "query": "q2", "k": 2,
+         "budget": {"mapping_limit": 2}},
     ]
 
     async def client_loop(server):

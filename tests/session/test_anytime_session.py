@@ -52,6 +52,28 @@ class TestBudgetRouting:
             with pytest.raises(ValueError, match="does not apply"):
                 s.query(example.q2(), method="o-sharing", budget={"mapping_limit": 1})
 
+    def test_budget_on_a_top_k_session_stays_top_k(self, example):
+        # Regression: a budget used to reroute every method but anytime to
+        # anytime, silently dropping a top-k session's k.
+        with _session(example, method="top-k", k=1) as s:
+            result = s.query(example.q_phone_by_addr(), budget={"eunit_limit": 1})
+            assert isinstance(result, AnytimeResult)
+            assert result.evaluator == "top-k"
+            assert result.details["k"] == 1
+            final = result.resume()
+            assert repr(final.answers) == repr(s.top_k(example.q_phone_by_addr()).answers)
+
+    def test_top_k_accepts_budget_and_budget_ms(self, example):
+        with _session(example) as s:
+            plain = s.top_k(example.q2(), k=1)
+            for budget in ({"budget": {"mapping_limit": 10_000}}, {"budget_ms": 60_000}):
+                result = s.top_k(example.q2(), k=1, **budget)
+                assert isinstance(result, AnytimeResult)
+                assert result.evaluator == "top-k" and result.converged
+                assert repr(result.answers) == repr(plain.answers)
+            with pytest.raises(ValueError, match="not both"):
+                s.top_k(example.q2(), k=1, budget=Budget(), budget_ms=5.0)
+
     def test_unknown_budget_field_gets_did_you_mean(self, example):
         with _session(example) as s:
             with pytest.raises(ValueError, match="did you mean 'eunit_limit'"):
@@ -77,6 +99,18 @@ class TestBudgetRouting:
                 "wall_ms": None,
             }
 
+    def test_policy_level_budget_does_not_reach_top_k(self, example):
+        query = example.q_phone_by_addr()
+        with _session(example) as plain:
+            reference = plain.top_k(query, 3)
+        with _session(example, method="anytime", budget={"eunit_limit": 1}) as s:
+            for result in (s.top_k(query, 3), s.query(query, method="top-k", k=3)):
+                assert type(result) is type(reference)
+                assert list(result.answers.items()) == list(reference.answers.items())
+                assert result.details == reference.details
+            budgeted = s.top_k(query, 3, budget={"eunit_limit": 1})
+            assert isinstance(budgeted, AnytimeResult)
+
 
 class TestAnytimeObservability:
     def test_metrics_track_queries_mass_and_exhaustion(self, example):
@@ -94,6 +128,16 @@ class TestAnytimeObservability:
             assert snapshot.value("repro_anytime_queries_total") == 2
             assert snapshot.value("repro_anytime_budget_exhausted_total") == 1
             assert snapshot.value("repro_anytime_unexplored_mass") == 0.0
+
+    def test_top_k_stopped_by_k_is_not_budget_exhausted(self, example):
+        with _session(example) as s:
+            result = s.top_k(example.q_phone_by_addr(), k=1, budget={"mapping_limit": 10_000})
+            assert result.converged and not result.exhausted
+            assert not result.stopped_by_budget
+            s.top_k(example.q_phone_by_addr(), k=1, budget={"mapping_limit": 0})
+            snapshot = s.metrics()
+            assert snapshot.value("repro_anytime_queries_total") == 2
+            assert snapshot.value("repro_anytime_budget_exhausted_total") == 1
 
     def test_resume_feeds_session_totals_and_counters(self, example):
         with _session(example) as s:

@@ -143,7 +143,7 @@ class TestEvaluatorOptions:
         from repro.core.evaluators import EVALUATORS
 
         for method, cls in EVALUATORS.items():
-            evaluator = cls(**ExecutionPolicy(method=method).evaluator_options())
+            evaluator = cls(**ExecutionPolicy(method=method, k=3).evaluator_options())
             assert evaluator.name == method
 
 

@@ -439,8 +439,12 @@ class TestServingSurface:
                 s.query_many([example.q0()], strategy="snf")
             with pytest.raises(ValueError, match="does not apply to method 'top-k'"):
                 s.top_k(example.q0(), k=2, prune_empty=False)
-            # ...while applicable combinations still work
+            # ...while applicable combinations still work, a budget on
+            # top-k included: it is top-k's second stop rule
             s.query(example.q0(), method="o-sharing", strategy="snf")
+            budgeted = s.top_k(example.q0(), k=2, budget={"eunit_limit": 1})
+            assert budgeted.evaluator == "top-k"
+            assert not budgeted.converged
 
     def test_method_override_on_fixed_method_calls_is_rejected(self, example):
         with Session(example.database, example.mappings, links=example.links) as s:
