@@ -1,17 +1,21 @@
-"""Warm sessions under writes: delta maintenance vs cold recomputation.
+"""Warm sessions under writes: plan-cache patching vs cold recomputation.
 
-The serving scenario the delta machinery exists for: a session keeps
-answering a repeated probe workload while rows keep arriving.  Cold calls (a
-fresh session each) pay the full price after every write; a warm
-:class:`repro.Session` absorbs append deltas into its plan cache, hash indexes, shard layouts and
-statistics, re-executing only what the write actually invalidated.
+The serving scenario the write path exists for: a session keeps answering a
+repeated probe workload while rows keep arriving.  Cold calls (a fresh
+session each) pay the full price after every write; a warm
+:class:`repro.Session` patches its append-monotone plan-cache entries with
+each append delta, re-executing only what the write actually invalidated.
+Hash indexes and column statistics are rebuilt lazily, by version.
 
-CI gates (operator counts are deterministic; wall-clock is reported but not
-gated — this may run on a 1-core container):
+CI gates (operator and build counts are deterministic; wall-clock is
+reported but not gated — this may run on a 1-core container):
 
 * the warm session absorbing K interleaved appends executes **strictly
   fewer** source operators than the same K+1 workload evaluations served
   cold;
+* each append rebuilds lazily and only where it wrote: at most one index
+  build per cached index of the written relation, at most one profiling
+  pass per profiled column of it, and no rebuild for any other relation;
 * a write to one relation does **not** evict warm entries that never read
   it — the unrelated probe repeats at the exact operator cost of a warm
   repeat without any write;
@@ -37,6 +41,9 @@ from repro.relational.expressions import col
 
 #: Interleaved appends absorbed by the warm session (one row each).
 K_WRITES = 6
+
+#: The relation every append writes.
+WRITTEN = "Customer"
 
 
 def _appended_row(i: int) -> tuple:
@@ -82,20 +89,62 @@ def _run_cold(probes):
     return passes, answers
 
 
+def _cache_state(database) -> tuple[dict, int, int]:
+    """Cached indexes and column profiles by ``(kind, relation, column)``,
+    plus the index-build and profiling-pass counters."""
+    entries = {
+        ("index", *key): entry for key, entry in database.index_catalog._indexes.items()
+    }
+    entries.update(
+        (("profile", *key), entry)
+        for key, entry in database.stats_catalog._columns.items()
+    )
+    return entries, database.index_catalog.builds, database.stats_catalog.collections
+
+
+def _rebuild_traffic(before_state, after_state) -> dict:
+    """The index builds and profiling passes between two cache states.
+
+    Each is capped by what the written relation had cached before: one
+    rebuild per cached index and per profiled column at most.  An entry of
+    any other relation whose object changed was rebuilt without need.
+    """
+    before, builds, collections = before_state
+    after, builds_after, collections_after = after_state
+    return {
+        "index_builds": builds_after - builds,
+        "cached_indexes": sum(
+            1 for kind, relation, _ in before if kind == "index" and relation == WRITTEN
+        ),
+        "profiles": collections_after - collections,
+        "profiled_columns": sum(
+            1 for kind, relation, _ in before if kind == "profile" and relation == WRITTEN
+        ),
+        "other_relations_rebuilt": sorted(
+            key
+            for key, entry in after.items()
+            if key[1] != WRITTEN and before.get(key) is not entry
+        ),
+    }
+
+
 def _run_warm(probes):
     """The session regime: one warm session absorbs the appends in place."""
     example = build_paper_example()
+    database = example.database
     passes = []
     answers = []
+    traffic = []
     with Session(
-        example.database,
+        database,
         example.mappings,
         links=example.links,
         policy=ExecutionPolicy(method="e-mqo"),
     ) as session:
         for k in range(K_WRITES + 1):
+            cached = _cache_state(database)
             if k:
-                example.database.append_rows("Customer", [_appended_row(k - 1)])
+                database.append_rows(WRITTEN, [_appended_row(k - 1)])
             before = session.stats.totals.source_operators
             started = time.perf_counter()
             checkpoint = [dict(session.query(probe).answers.items()) for probe in probes]
@@ -107,8 +156,10 @@ def _run_warm(probes):
                 }
             )
             answers.append(checkpoint)
+            if k:
+                traffic.append(_rebuild_traffic(cached, _cache_state(database)))
         snapshot = session.stats.snapshot()
-    return passes, answers, snapshot
+    return passes, answers, snapshot, traffic
 
 
 def _scoped_eviction_costs():
@@ -144,7 +195,7 @@ def test_warm_writes(benchmark, report_writer):
     cold_passes, cold_answers = benchmark.pedantic(
         _run_cold, args=(probes,), rounds=1, iterations=1
     )
-    warm_passes, warm_answers, session_snapshot = _run_warm(probes)
+    warm_passes, warm_answers, session_snapshot, traffic = _run_warm(probes)
     warm_repeat_cost, after_write_cost = _scoped_eviction_costs()
 
     cold_ops = sum(entry["source_operators"] for entry in cold_passes)
@@ -174,12 +225,14 @@ def test_warm_writes(benchmark, report_writer):
         + "\n\nsession: "
         + ", ".join(
             f"{key}={session_snapshot[key]}"
-            for key in (
-                "entries_patched",
-                "entries_invalidated",
-                "stats_refreshed_incrementally",
-                "operators_saved",
-            )
+            for key in ("entries_patched", "entries_invalidated", "operators_saved")
+        )
+        + "\nrebuilds per write (index builds/cached indexes, "
+        "profiles/profiled columns): "
+        + ", ".join(
+            f"{step['index_builds']}/{step['cached_indexes']} "
+            f"{step['profiles']}/{step['profiled_columns']}"
+            for step in traffic
         )
         + f"\nscoped eviction: warm repeat={warm_repeat_cost} ops, "
         f"repeat across unrelated write={after_write_cost} ops\n"
@@ -211,7 +264,6 @@ def test_warm_writes(benchmark, report_writer):
             for key in (
                 "entries_patched",
                 "entries_invalidated",
-                "stats_refreshed_incrementally",
                 "operators_saved",
                 "plan_cache",
             )
@@ -223,7 +275,7 @@ def test_warm_writes(benchmark, report_writer):
     }
     write_bench_artifact("warm_writes", payload)
 
-    # Byte-identity at every checkpoint: the delta path answers exactly what
+    # Byte-identity at every checkpoint: the warm path answers exactly what
     # a cold full recompute answers, write after write.
     for cold_checkpoint, warm_checkpoint in zip(cold_answers, warm_answers):
         assert cold_checkpoint == warm_checkpoint
@@ -231,5 +283,12 @@ def test_warm_writes(benchmark, report_writer):
     assert warm_ops < cold_ops
     # Gate: the session actually patched entries rather than dropping them.
     assert session_snapshot["entries_patched"] > 0
+    # Gate: rebuilds are lazy and scoped — at most one per cached index and
+    # per profiled column of the written relation, none anywhere else.
+    assert len(traffic) == K_WRITES
+    for step in traffic:
+        assert step["index_builds"] <= step["cached_indexes"], step
+        assert step["profiles"] <= step["profiled_columns"], step
+        assert not step["other_relations_rebuilt"], step
     # Gate: a write to Customer does not evict entries that only read C_Order.
     assert after_write_cost == warm_repeat_cost

@@ -68,36 +68,31 @@ class Database:
         """Append ``rows`` to relation ``name``, publishing the delta.
 
         Unlike :meth:`set_relation` (the wholesale path), the write is
-        described precisely: cached hash indexes are patched in place, and
-        registered write listeners (plan caches, sessions) receive the
-        :class:`~repro.relational.relation.Delta` so they can patch — rather
-        than drop — entries that depend on ``name``.  Returns ``None`` for an
-        empty input (nothing written, nothing published).
+        described precisely: registered write listeners (plan caches,
+        sessions) receive the :class:`~repro.relational.relation.Delta`, so
+        a plan cache can patch — rather than drop — its append-monotone
+        entries over ``name``.  Hash indexes and statistics are keyed by the
+        relation's version and rebuild lazily on next use.  Returns ``None``
+        for an empty input (nothing written, nothing published).
         """
-        relation = self.relation(name)
-        delta = relation.append_rows(rows)
-        return self._finish_write(name, relation, delta)
+        return self._finish_write(name, self.relation(name).append_rows(rows))
 
     def update_rows(
         self, name: str, positions: Sequence[int], rows: Iterable[Sequence[Any]]
     ) -> Delta | None:
         """Replace the rows of ``name`` at ``positions`` with ``rows``."""
-        relation = self.relation(name)
-        delta = relation.update_rows(positions, rows)
-        return self._finish_write(name, relation, delta)
+        return self._finish_write(
+            name, self.relation(name).update_rows(positions, rows)
+        )
 
     def delete_rows(self, name: str, positions: Sequence[int]) -> Delta | None:
         """Delete the rows of ``name`` at ``positions``."""
-        relation = self.relation(name)
-        delta = relation.delete_rows(positions)
-        return self._finish_write(name, relation, delta)
+        return self._finish_write(name, self.relation(name).delete_rows(positions))
 
-    def _finish_write(
-        self, name: str, relation: Relation, delta: Delta | None
-    ) -> Delta | None:
+    def _finish_write(self, name: str, delta: Delta | None) -> Delta | None:
+        """Publish ``delta`` (if anything was written) to the write listeners."""
         if delta is None:
             return None
-        self._indexes.apply_delta(name, relation, delta)
         for listener in list(self._write_listeners):
             listener(name, delta)
         return delta

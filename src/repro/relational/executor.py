@@ -380,7 +380,12 @@ class Executor:
             # fast-path boundary, and answers must not depend on which side
             # they land.
             return None
-        index = self.database.index(scan.relation, attribute)
+        # The index of the pinned snapshot (same version, same rows), not of
+        # the live relation: a write landing after the pin must not leak
+        # post-write rows into this execution.
+        index = self.database.index_catalog.get(
+            base, scan.relation, base.columns[position]
+        )
         rows = self._index_lookup(index, conjunct.right.value)
         if scan.alias is None or scan.alias == base.name:
             columns, name = base.columns, base.name

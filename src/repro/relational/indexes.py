@@ -9,90 +9,30 @@ scan.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections import defaultdict
 from typing import Any, Callable, Hashable
 
-from repro.relational.relation import DELTA_DELETE, DELTA_UPDATE, Relation
+from repro.relational.relation import Relation
 
 
 class HashIndex:
-    """A value → row positions index over one column of a relation."""
+    """A value → row positions index over one column of a relation.
+
+    The index keeps the row list it was built from, so :meth:`lookup_rows`
+    answers from that snapshot even after the relation is written (a write
+    installs a new row list and leaves this one untouched).
+    """
 
     def __init__(self, relation: Relation, column: str):
-        self.relation = relation
         self.column = column
         self._position = relation.column_index(column)
-        #: number of rows the buckets currently cover (appends start here;
-        #: carried by the index, not the relation, so a *chain* of deltas can
-        #: be replayed later without consulting the already-mutated relation)
-        self._length = len(relation.rows)
+        self._rows = relation.rows
         buckets: dict[Hashable, list[int]] = defaultdict(list)
-        for row_number, row in enumerate(relation.rows):
+        for row_number, row in enumerate(self._rows):
             value = row[self._position]
             if isinstance(value, Hashable):
                 buckets[value].append(row_number)
         self._buckets = dict(buckets)
-
-    def apply_append(self, rows: list[tuple]) -> None:
-        """Fold appended ``rows`` (at positions ``self._length``...) into the buckets.
-
-        Copy-on-write: the affected buckets and the bucket dict are replaced
-        by new objects and swapped in with a single assignment, so a reader
-        holding the old dict keeps a consistent pre-append view.
-        """
-        position = self._position
-        start = self._length
-        buckets = dict(self._buckets)
-        for offset, row in enumerate(rows):
-            value = row[position]
-            if isinstance(value, Hashable):
-                buckets[value] = buckets.get(value, []) + [start + offset]
-        self._buckets = buckets
-        self._length = start + len(rows)
-
-    def apply_delete(self, positions: list[int]) -> None:
-        """Remap buckets after deleting ``positions`` (ascending, pre-write).
-
-        Surviving row positions shift down by the number of deleted rows
-        before them; deleted positions drop out, and buckets that empty
-        disappear.  The remap is monotone, so every bucket's position list
-        stays ascending.  Copy-on-write like :meth:`apply_append`.
-        """
-        doomed = set(positions)
-        buckets: dict[Hashable, list[int]] = {}
-        for value, rows in self._buckets.items():
-            new_rows = [
-                row - bisect_left(positions, row) for row in rows if row not in doomed
-            ]
-            if new_rows:
-                buckets[value] = new_rows
-        self._buckets = buckets
-        self._length -= len(doomed)
-
-    def apply_update(self, positions: list[int], rows: list[tuple]) -> None:
-        """Re-key the updated positions (row numbering is unchanged).
-
-        The updated positions are dropped from every bucket, then re-inserted
-        under their replacement rows' key values (``insort`` keeps the
-        position lists ascending).  Copy-on-write like :meth:`apply_append`.
-        """
-        changed = set(positions)
-        buckets: dict[Hashable, list[int]] = {}
-        for value, members in self._buckets.items():
-            kept = [position for position in members if position not in changed]
-            if kept:
-                buckets[value] = kept
-        index_position = self._position
-        for position, row in zip(positions, rows):
-            value = row[index_position]
-            if isinstance(value, Hashable):
-                members = buckets.get(value)
-                if members is None:
-                    buckets[value] = [position]
-                else:
-                    insort(members, position)
-        self._buckets = buckets
 
     def lookup(self, value: Any) -> list[int]:
         """Row positions whose indexed column equals ``value``."""
@@ -100,7 +40,8 @@ class HashIndex:
 
     def lookup_rows(self, value: Any) -> list[tuple]:
         """Rows whose indexed column equals ``value``."""
-        return [self.relation.rows[i] for i in self.lookup(value)]
+        rows = self._rows
+        return [rows[i] for i in self.lookup(value)]
 
     def __len__(self) -> int:
         return len(self._buckets)
@@ -117,7 +58,8 @@ class IndexCatalog:
     so passing a fresh aliased/prefixed view of the same rows (which shares
     the token) hits the cache instead of rebuilding.  :attr:`builds` counts
     the indexes actually constructed, which regression tests and benchmarks
-    use to assert that repeated indexed selects build exactly once.
+    use to assert that repeated indexed selects build exactly once.  A write
+    bumps the relation's token, so the next :meth:`get` rebuilds the index.
     """
 
     def __init__(self) -> None:
@@ -125,45 +67,6 @@ class IndexCatalog:
         self._listeners: list[Callable[[str | None], None]] = []
         #: number of hash indexes physically built since creation
         self.builds: int = 0
-        #: number of cached indexes patched in place by write deltas
-        self.patches: int = 0
-        #: number of cached indexes dropped by a write (rebuilt on next use)
-        self.rebuilds: int = 0
-
-    def apply_delta(self, relation_name: str, relation: Relation, delta) -> int:
-        """Maintain cached indexes on ``relation_name`` through a write.
-
-        Every delta kind whose base version matches the cached entry is
-        patched in place: appends fold the new rows into the buckets, deletes
-        remap the surviving positions, updates re-key the changed positions
-        (no rebuild, no listener notification — the write path has its own
-        delta-aware listener chain on the
-        :class:`~repro.relational.database.Database`).  Only a broken chain
-        (``delta is None``, or a version mismatch from a missed write) drops
-        the relation's entries, counted in :attr:`rebuilds`.  Returns the
-        number patched.
-        """
-        patched = 0
-        for key in [key for key in self._indexes if key[0] == relation_name]:
-            index, version = self._indexes[key]
-            if delta is not None and version == delta.base_version:
-                if delta.is_append:
-                    index.apply_append(list(delta.rows))
-                elif delta.kind == DELTA_DELETE:
-                    index.apply_delete(list(delta.positions))
-                elif delta.kind == DELTA_UPDATE:
-                    index.apply_update(list(delta.positions), list(delta.rows))
-                else:  # pragma: no cover - no other delta kinds exist
-                    del self._indexes[key]
-                    self.rebuilds += 1
-                    continue
-                self._indexes[key] = (index, delta.version)
-                patched += 1
-            else:
-                del self._indexes[key]
-                self.rebuilds += 1
-        self.patches += patched
-        return patched
 
     def get(self, relation: Relation, relation_name: str, column: str) -> HashIndex:
         """Return (building if needed) the index on ``relation_name.column``."""

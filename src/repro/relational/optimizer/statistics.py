@@ -21,7 +21,7 @@ coercion-free family, which :func:`column_family` determines.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.relational.relation import Relation
@@ -40,12 +40,6 @@ from repro.relational.types import (  # noqa: F401  (re-exports)
 
 #: Number of buckets in the per-column equi-width histograms.
 HISTOGRAM_BUCKETS = 8
-
-#: Appended-row fraction (relative to the last full profile) beyond which a
-#: column is re-profiled from scratch instead of delta-patched: the patched
-#: histogram keeps the *old* bucket boundaries, which drift from what a fresh
-#: equi-width build would choose once the delta dominates the data.
-HISTOGRAM_STALENESS = 0.25
 
 
 @dataclass
@@ -117,12 +111,8 @@ class ColumnStats:
 
 def collect_column_stats(relation: Relation, label: str, attribute: str) -> ColumnStats:
     """Profile one column of ``relation`` (one pass over the column data)."""
-    stats, _ = _profile_column(relation, label, attribute)
-    return stats
-
-
-def _profile_values(values: Iterable[Any]) -> tuple[int, set, list[float]]:
-    """One pass over ``values``: (nulls, distinct set, numeric values)."""
+    position = relation.column_index(label)
+    values = relation.column_data()[position] if len(relation) else []
     nulls = 0
     distinct: set = set()
     numeric: list[float] = []
@@ -138,16 +128,6 @@ def _profile_values(values: Iterable[Any]) -> tuple[int, set, list[float]]:
             numeric.append(int(value))
         elif isinstance(value, (int, float)) and value == value:
             numeric.append(value)
-    return nulls, distinct, numeric
-
-
-def _profile_column(
-    relation: Relation, label: str, attribute: str
-) -> tuple[ColumnStats, set]:
-    """Full profile of one column, plus the distinct set kept as patching aux."""
-    position = relation.column_index(label)
-    values = relation.column_data()[position] if len(relation) else []
-    nulls, distinct, numeric = _profile_values(values)
     stats = ColumnStats(
         relation=relation.name,
         attribute=attribute,
@@ -159,45 +139,7 @@ def _profile_column(
     if numeric:
         stats.minimum, stats.maximum = min(numeric), max(numeric)
         stats.histogram = _equi_width_histogram(numeric, stats.minimum, stats.maximum)
-    return stats, distinct
-
-
-def _merge_family(old: str, new: str) -> str:
-    """The family of a concatenation, from the families of its two parts."""
-    if old == new or new == FAMILY_EMPTY:
-        return old
-    if old == FAMILY_EMPTY:
-        return new
-    return FAMILY_MIXED
-
-
-def _patched_histogram(
-    histogram: list[tuple[float, float, int]],
-    numeric: list[float],
-    low: float,
-    high: float,
-) -> list[tuple[float, float, int]] | None:
-    """``histogram`` with in-range ``numeric`` values folded in, or ``None``.
-
-    Only legal when every value lies within ``[low, high]`` (the caller
-    checks): bucket boundaries then stay exactly what a fresh equi-width
-    build over the concatenated data would produce, so patching and
-    rebuilding agree.
-    """
-    if not histogram:
-        return None
-    if high <= low:
-        first, last, count = histogram[0]
-        return [(first, last, count + len(numeric))]
-    width = (high - low) / len(histogram)
-    buckets = [count for _, _, count in histogram]
-    for value in numeric:
-        index = min(len(buckets) - 1, int((value - low) / width))
-        buckets[index] += 1
-    return [
-        (low + i * width, low + (i + 1) * width, count)
-        for i, count in enumerate(buckets)
-    ]
+    return stats
 
 
 def _equi_width_histogram(
@@ -244,17 +186,10 @@ class StatsCatalog:
         self.database = database
         self._row_counts: dict[str, tuple[int, int]] = {}
         self._columns: dict[tuple[str, str], tuple[ColumnStats, int]] = {}
-        # Patching aux per column entry: the exact distinct set, plus how
-        # many appended rows have been folded in since the last full profile
-        # (and the row count at that profile, for the staleness ratio).
-        self._aux: dict[tuple[str, str], list] = {}
         #: number of column-profiling passes physically executed
         self.collections: int = 0
-        #: number of stale entries refreshed from an append-delta chain
-        #: instead of a full profiling pass
-        self.incremental_refreshes: int = 0
-        # Entries and aux are shared by every executor/session thread over
-        # this database; reads-with-refresh must be atomic.
+        # Entries are shared by every executor/session thread over this
+        # database; reads-with-refresh must be atomic.
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
@@ -275,15 +210,8 @@ class StatsCatalog:
     def column(self, relation_name: str, attribute: str) -> ColumnStats | None:
         """Profile of ``relation_name.attribute`` (``None`` when unavailable).
 
-        A stale entry is refreshed *incrementally* when the relation can
-        produce the append-delta chain from the profiled version: count, null
-        count, min/max and the exact NDV (via the retained distinct set) are
-        updated from just the appended rows, and the histogram's buckets are
-        patched in place as long as the new values stay within the profiled
-        range and the accumulated delta stays under
-        :data:`HISTOGRAM_STALENESS`.  Anything else — updates, deletes,
-        wholesale replacement, out-of-range values, too much drift — falls
-        back to a full profiling pass.
+        A stale entry (the relation was written or replaced since it was
+        profiled) is re-profiled in one full pass.
         """
         try:
             relation = self.database.relation(relation_name)
@@ -302,67 +230,10 @@ class StatsCatalog:
             cached = self._columns.get(key)
             if cached is not None and cached[1] == version:
                 return cached[0]
-            if cached is not None:
-                patched = self._patched_column(relation, key, label, cached, version)
-                if patched is not None:
-                    self._columns[key] = (patched, version)
-                    self.incremental_refreshes += 1
-                    return patched
-            stats, distinct = _profile_column(relation, label, attribute)
+            stats = collect_column_stats(relation, label, attribute)
             self.collections += 1
             self._columns[key] = (stats, version)
-            # Reset the drift counters on every full profile: appended_before
-            # restarts at 0 and the staleness ratio's base_count is the count
-            # *at this profile*.  Without the reset, every append past the
-            # first HISTOGRAM_STALENESS crossing would re-profile forever
-            # (tests/relational/optimizer pins the rebuild cadence).
-            self._aux[key] = [distinct, 0, stats.count]
             return stats
-
-    def _patched_column(
-        self,
-        relation: Relation,
-        key: tuple[str, str],
-        label: str,
-        cached: tuple[ColumnStats, int],
-        version: int,
-    ) -> ColumnStats | None:
-        """``cached`` refreshed from the append-delta chain, or ``None``."""
-        stats, profiled_version = cached
-        chain = relation.deltas_between(profiled_version, version)
-        if not chain or any(not delta.is_append for delta in chain):
-            return None
-        aux = self._aux.get(key)
-        if aux is None:
-            return None
-        distinct, appended_before, base_count = aux
-        appended = sum(len(delta.rows) for delta in chain)
-        if appended_before + appended > HISTOGRAM_STALENESS * max(1, base_count):
-            return None  # the delta dominates: re-profile from scratch
-        position = relation.column_index(label)
-        values = [row[position] for delta in chain for row in delta.rows]
-        nulls, fresh_distinct, numeric = _profile_values(values)
-        histogram = stats.histogram
-        if numeric:
-            if stats.minimum is None:
-                return None  # first numeric values ever: build, don't patch
-            if min(numeric) < stats.minimum or max(numeric) > stats.maximum:
-                return None  # outside the profiled range: rebuild
-            histogram = _patched_histogram(
-                histogram, numeric, stats.minimum, stats.maximum
-            )
-            if histogram is None:
-                return None
-        distinct |= fresh_distinct
-        aux[1] = appended_before + appended
-        return replace(
-            stats,
-            count=stats.count + len(values),
-            nulls=stats.nulls + nulls,
-            ndv=len(distinct),
-            family=_merge_family(stats.family, column_family(values)),
-            histogram=histogram,
-        )
 
     def versions(self, relation_names: Iterable[str]) -> dict[str, int]:
         """Current version token per loaded relation (used for memo freshness)."""

@@ -264,59 +264,6 @@ def cached_chunk_columns(
     return shard_data, spans
 
 
-def patch_shard_entries(entries: dict, delta) -> dict | None:
-    """Shard-cache ``entries`` with an append ``delta`` applied, or ``None``.
-
-    Only contiguous *chunk* layouts are monotone under appends — the new
-    rows simply extend the last span, and span-order reassembly still
-    reproduces the serial row order exactly (byte-identity does not pin the
-    span boundaries themselves).  Round-robin and hash layouts change the
-    assignment of nothing but are cheaper to rebuild than to prove, so they
-    are dropped.  Every patched container is a brand-new object: the old
-    entries may still be aliased by in-flight shard batches.
-    """
-    if not delta.is_append:
-        return None
-    appended = delta.rows
-    grown = len(appended)
-    patched: dict = {}
-    for key, entry in entries.items():
-        if key == "chunk-columns":
-            spans = entry["spans"]
-            if not spans:
-                continue  # relation was empty; rebuild from scratch
-            new_spans = list(spans)
-            start, stop = new_spans[-1]
-            new_spans[-1] = (start, stop + grown)
-            new_columns = {}
-            for position, slices in entry["columns"].items():
-                tail = slices[-1] + [row[position] for row in appended]
-                new_columns[position] = list(slices[:-1]) + [tail]
-            patched[key] = {
-                "shards": entry["shards"],
-                "spans": new_spans,
-                "columns": new_columns,
-            }
-        elif isinstance(key, tuple) and key[1] == "chunk":
-            shard_data, _indices, spans = entry
-            if not spans:
-                continue
-            new_spans = list(spans)
-            start, stop = new_spans[-1]
-            new_spans[-1] = (start, stop + grown)
-            last = [
-                column + [row[i] for row in appended]
-                for i, column in enumerate(shard_data[-1])
-            ]
-            patched[key] = (
-                list(shard_data[:-1]) + [last],
-                [None] * len(new_spans),
-                new_spans,
-            )
-        # round-robin / hash entries are dropped and rebuilt lazily.
-    return patched
-
-
 def _cached_shard_data(
     relation: Relation, shards: int, mode: str, key_position: int | None
 ):

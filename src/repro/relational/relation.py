@@ -11,7 +11,6 @@ already covers the source attributes an operator needs.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -27,14 +26,10 @@ DELTA_APPEND = "append"
 DELTA_UPDATE = "update"
 DELTA_DELETE = "delete"
 
-#: Deltas retained per relation lineage; consumers needing a chain older
-#: than this fall back to full recomputation (the conservative path).
-DELTA_LOG_LIMIT = 64
-
 
 @dataclass(frozen=True)
 class Delta:
-    """One write, described precisely enough to maintain caches incrementally.
+    """One write, described precisely enough to patch plan-cache entries.
 
     A delta records the transition ``base_version → version`` of one
     relation's data: ``append`` carries the appended rows, ``update`` the
@@ -160,9 +155,6 @@ class Relation:
         "_vector_cache",
         "_rows",
         "_length",
-        "_shared_rows",
-        "_deltas",
-        "_delta_lock",
     )
 
     def __init__(
@@ -197,17 +189,6 @@ class Relation:
         # Shared one-slot holder for the vector engine's classified NumPy
         # columns, keyed on the version token (see repro.relational.vector).
         self._vector_cache: list = [None]
-        # True while the row list is shared with a relabelled view; a
-        # mutation copies it first (copy-on-write) so views stay isolated.
-        self._shared_rows = False
-        # Bounded log of Delta records describing this lineage's writes;
-        # shared with relabelled views (they share the data the deltas
-        # describe).  See deltas_between.
-        self._deltas: list[Delta] = []
-        # Guards append/trim/walk of the shared delta log: a writer trimming
-        # the list while a deltas_between walker snapshots it must never
-        # produce a torn chain.  Shared with relabelled views like the log.
-        self._delta_lock = threading.Lock()
 
     @property
     def rows(self) -> list[Row]:
@@ -288,9 +269,6 @@ class Relation:
         ]
         relation._shard_cache = [None]
         relation._vector_cache = [None]
-        relation._shared_rows = False
-        relation._deltas = []
-        relation._delta_lock = threading.Lock()
         return relation
 
     # ------------------------------------------------------------------ #
@@ -325,9 +303,10 @@ class Relation:
 
         The rows, version token and column-major holder are shared, so the
         view costs O(columns) regardless of the row count and caches keyed on
-        the version token keep hitting.  Sharing is copy-on-write: a later
-        mutation of either relation copies the row list first (see
-        :meth:`append`), so views keep their snapshot semantics.
+        the version token keep hitting.  Sharing is copy-on-write: a write to
+        either relation installs a brand-new row list and new cache holders
+        on that relation only (see :meth:`_commit`), so views keep their
+        snapshot semantics.
         """
         view = Relation.__new__(Relation)
         view.columns = tuple(columns)
@@ -341,15 +320,6 @@ class Relation:
         view._column_cache = self._column_cache
         view._shard_cache = self._shard_cache
         view._vector_cache = self._vector_cache
-        view._deltas = self._deltas
-        view._delta_lock = self._delta_lock
-        if self._rows is not None:
-            self._shared_rows = True
-            view._shared_rows = True
-        else:
-            # Both sides are lazy: each will assemble its own list from the
-            # shared (immutable) column data, so no copy-on-write is needed.
-            view._shared_rows = False
         return view
 
     def rename(self, renaming: dict[str, str]) -> "Relation":
@@ -370,14 +340,19 @@ class Relation:
         is rebuilt after a mutation.  The returned lists are shared — callers
         must treat them as read-only.
         """
+        # Read the token before the rows: a write swaps the rows before it
+        # bumps the token, so data built here is never filed under a newer
+        # token than the rows it was built from.
+        version = self.version
         cached = self._column_cache[0]
-        if cached is not None and cached[0] == self.version:
+        if cached is not None and cached[0] == version:
             return cached[1]
-        if self.rows:
-            data = [list(column) for column in zip(*self.rows)]
+        rows = self.rows
+        if rows:
+            data = [list(column) for column in zip(*rows)]
         else:
             data = [[] for _ in self.columns]
-        self._column_cache[0] = (self.version, data)
+        self._column_cache[0] = (version, data)
         return data
 
     # ------------------------------------------------------------------ #
@@ -394,77 +369,41 @@ class Relation:
                 )
         return validated
 
-    def _record_delta(self, delta: Delta) -> None:
-        with self._delta_lock:
-            log = self._deltas
-            log.append(delta)
-            if len(log) > DELTA_LOG_LIMIT:
-                del log[: len(log) - DELTA_LOG_LIMIT]
+    def _commit(self, delta: Delta, rows: list[Row]) -> Delta:
+        """Install ``rows`` (a brand-new list) as the data at ``delta.version``.
 
-    def _fresh_columns(self, version: int) -> list[list] | None:
-        """The cached column-major lists, only if they match ``version``."""
-        cached = self._column_cache[0]
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        return None
-
-    def _patched_shards(self, delta: Delta) -> list:
-        """A replacement shard-cache holder with ``delta`` applied, or empty.
-
-        Only the chunk-sharded (monotone) entries can be extended by an
-        append; anything else drops the cache and lets the next parallel
-        execution rebuild it.
+        The column, shard and vector holders are replaced by empty ones:
+        relabelled views keep the old holders with their payloads (their
+        snapshot), and everything derived from the new rows is rebuilt
+        lazily on next use, keyed by the new token.  Data is swapped before
+        the token is bumped, so a concurrent version-checked reader can
+        observe (old version, new data) — which it treats as stale — but
+        never the reverse.
         """
-        cached = self._shard_cache[0]
-        if cached is None or cached[0] != delta.base_version or not delta.is_append:
-            return [None]
-        from repro.relational.parallel.partition import patch_shard_entries
-
-        patched = patch_shard_entries(cached[1], delta)
-        if patched is None:
-            return [None]
-        return [(delta.version, patched)]
+        self._rows = rows
+        self._length = len(rows)
+        self._column_cache = [None]
+        self._shard_cache = [None]
+        self._vector_cache = [None]
+        self.version = delta.version
+        return delta
 
     def append_rows(self, rows: Iterable[Sequence[Any]]) -> Delta | None:
         """Append many rows, returning the :class:`Delta` describing the write.
 
-        The append is applied *incrementally* to the version-keyed caches:
-        fresh column-major lists are extended (into brand-new lists — the old
-        ones may be aliased by views and cached batches) and chunk-sharded
-        entries grow their last span.  Data is swapped before the version
-        token is bumped, so a concurrent version-checked reader can observe
-        (old version, new data) — which it treats as stale — but never the
-        reverse.  Returns ``None`` (and writes nothing) for an empty input.
+        Version-keyed derived data (column-major lists, shards, vector
+        arrays, and the database's indexes and statistics) is rebuilt lazily
+        on next use; only the :class:`Delta` goes to listeners such as the
+        plan cache.  Returns ``None`` (and writes nothing) for an empty
+        input.
         """
         appended = self._validated(rows)
         if not appended:
             return None
-        base_version = self.version
-        old_rows = self.rows  # materialise before the swap
-        fresh = self._fresh_columns(base_version)
-        new_version = next(_DATA_VERSIONS)
         delta = Delta(
-            DELTA_APPEND, base_version, new_version, rows=tuple(appended)
+            DELTA_APPEND, self.version, next(_DATA_VERSIONS), rows=tuple(appended)
         )
-        # New list: relabelled views keep aliasing the old one untouched.
-        self._rows = old_rows + appended
-        self._length += len(appended)
-        self._shared_rows = False
-        if fresh is not None:
-            patched = [
-                old + [row[i] for row in appended] for i, old in enumerate(fresh)
-            ]
-            self._column_cache = [(new_version, patched)]
-        else:
-            self._column_cache = [None]
-        self._shard_cache = self._patched_shards(delta)
-        # New holder carrying the old payload: relabelled views keep their
-        # snapshot via the old holder, while the vector engine rolls this
-        # one forward lazily through the append-delta chain on next use.
-        self._vector_cache = [self._vector_cache[0]]
-        self._record_delta(delta)
-        self.version = new_version
-        return delta
+        return self._commit(delta, self.rows + appended)
 
     def update_rows(
         self, positions: Sequence[int], rows: Iterable[Sequence[Any]]
@@ -488,37 +427,17 @@ class Relation:
         order = sorted(range(len(targets)), key=targets.__getitem__)
         targets = [targets[i] for i in order]
         replacements = [replacements[i] for i in order]
-        base_version = self.version
-        old_rows = self.rows
-        fresh = self._fresh_columns(base_version)
-        new_version = next(_DATA_VERSIONS)
         delta = Delta(
             DELTA_UPDATE,
-            base_version,
-            new_version,
+            self.version,
+            next(_DATA_VERSIONS),
             rows=tuple(replacements),
             positions=tuple(targets),
         )
-        new_rows = list(old_rows)
+        new_rows = list(self.rows)
         for position, row in zip(targets, replacements):
             new_rows[position] = row
-        self._rows = new_rows
-        self._shared_rows = False
-        if fresh is not None:
-            patched = []
-            for i, old in enumerate(fresh):
-                column = list(old)
-                for position, row in zip(targets, replacements):
-                    column[position] = row[i]
-                patched.append(column)
-            self._column_cache = [(new_version, patched)]
-        else:
-            self._column_cache = [None]
-        self._shard_cache = [None]
-        self._vector_cache = [None]  # non-append: arrays cannot roll forward
-        self._record_delta(delta)
-        self.version = new_version
-        return delta
+        return self._commit(delta, new_rows)
 
     def delete_rows(self, positions: Sequence[int]) -> Delta | None:
         """Remove the rows at ``positions`` (pre-write numbering)."""
@@ -530,62 +449,13 @@ class Relation:
                 raise IndexError(
                     f"row position {position} out of range for {self._length} rows"
                 )
-        base_version = self.version
-        old_rows = self.rows
-        fresh = self._fresh_columns(base_version)
-        new_version = next(_DATA_VERSIONS)
         delta = Delta(
-            DELTA_DELETE, base_version, new_version, positions=tuple(targets)
+            DELTA_DELETE, self.version, next(_DATA_VERSIONS), positions=tuple(targets)
         )
         doomed = set(targets)
-        self._rows = [row for i, row in enumerate(old_rows) if i not in doomed]
-        self._length -= len(targets)
-        self._shared_rows = False
-        if fresh is not None:
-            patched = [
-                [value for i, value in enumerate(old) if i not in doomed]
-                for old in fresh
-            ]
-            self._column_cache = [(new_version, patched)]
-        else:
-            self._column_cache = [None]
-        self._shard_cache = [None]
-        self._vector_cache = [None]  # non-append: arrays cannot roll forward
-        self._record_delta(delta)
-        self.version = new_version
-        return delta
-
-    def deltas_between(
-        self, old_version: int, new_version: int | None = None
-    ) -> list[Delta] | None:
-        """The delta chain taking ``old_version`` to ``new_version``, oldest first.
-
-        ``new_version`` defaults to the current :attr:`version`.  Returns an
-        empty list when the versions are equal, and ``None`` when the chain
-        cannot be reconstructed (log truncation, or an unrelated lineage such
-        as a wholesale replacement) — callers must then recompute from
-        scratch.
-        """
-        target = self.version if new_version is None else new_version
-        if old_version == target:
-            return []
-        # Snapshot under the shared lock: a concurrent writer appending and
-        # trimming the shared log mid-walk could otherwise tear the chain
-        # into one that silently skips a delta.  A chain the snapshot cannot
-        # complete returns None — the full-recompute fallback.
-        with self._delta_lock:
-            deltas = list(self._deltas)
-        by_version = {delta.version: delta for delta in deltas}
-        chain: list[Delta] = []
-        cursor = target
-        while cursor != old_version:
-            delta = by_version.get(cursor)
-            if delta is None:
-                return None
-            chain.append(delta)
-            cursor = delta.base_version
-        chain.reverse()
-        return chain
+        return self._commit(
+            delta, [row for i, row in enumerate(self.rows) if i not in doomed]
+        )
 
     def append(self, row: Sequence[Any]) -> None:
         """Append one row (validated for width)."""

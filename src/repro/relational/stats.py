@@ -59,9 +59,6 @@ class ExecutionStats:
     entries_patched: int = 0
     #: plan-cache entries dropped by write/replace invalidation
     entries_invalidated: int = 0
-    #: statistics-catalog entries refreshed from an append delta instead of
-    #: a full profiling pass
-    stats_refreshed_incrementally: int = 0
     #: e-units created in the u-trace (o-sharing/top-k/anytime)
     eunits_created: int = 0
     #: e-units settled without answer tuples (empty intermediate or result)

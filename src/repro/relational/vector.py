@@ -34,9 +34,9 @@ NumPy promotes to float64.
 Classified columns are cached.  A batch wrapping an unmutated base relation
 (``ColumnBatch.from_relation``) stores its entries in the relation's
 version-keyed one-slot ``_vector_cache`` holder — shared with relabelled
-views, rolled forward through append deltas (``Relation.deltas_between``) so
-warm sessions keep their arrays across writes, and abandoned on any other
-write.  Anonymous intermediate batches cache per batch.
+views, and replaced by an empty one on every write, so the arrays are
+reclassified lazily on next use.  Anonymous intermediate batches cache per
+batch.
 
 NumPy is optional: without it every kernel returns ``None`` and
 ``engine="vector"`` raises a ``ValueError`` naming the available engines.
@@ -153,67 +153,6 @@ def _entry_for_list(column: list):
     return None
 
 
-def _concat_entries(first, second):
-    """Entry for the concatenation of two classified columns, or ``None``.
-
-    The families must agree (a cross-family concatenation is a mixed column,
-    which classification from scratch would reject too); within the numeric
-    family ``bool``/``int`` widen to int64 while ``int``/``float`` mixes are
-    rejected — Python collapses ``1`` and ``1.0`` under set semantics, which
-    integer codes cannot express.
-    """
-    if first is None or second is None:
-        return None
-    a, a_nan = first
-    b, b_nan = second
-    if a.size == 0:
-        return second
-    if b.size == 0:
-        return first
-    ka, kb = a.dtype.kind, b.dtype.kind
-    if ka == "U" and kb == "U":
-        return np.concatenate([a, b]), False
-    if ka in "bi" and kb in "bi":
-        if ka == "b" and kb == "b":
-            return np.concatenate([a, b]), False
-        return (
-            np.concatenate([a.astype(np.int64), b.astype(np.int64)]),
-            False,
-        )
-    if ka == "f" and kb == "f":
-        return np.concatenate([a, b]), a_nan or b_nan
-    return None
-
-
-def _rolled_entries(source, payload, version) -> dict:
-    """The relation-level entry dict rolled forward to ``version``.
-
-    Only an unbroken all-append delta chain rolls forward: appended values
-    are classified and concatenated per position.  A rejected position stays
-    rejected (appends never remove the offending values), a family change
-    drops just that position, and any non-append write drops everything.
-    """
-    if payload is None:
-        return {}
-    old_version, old_entries = payload
-    if not old_entries:
-        return {}
-    chain = source.deltas_between(old_version, version)
-    if chain is None or any(not delta.is_append for delta in chain):
-        return {}
-    appended = [row for delta in chain for row in delta.rows]
-    entries: dict = {}
-    for position, entry in old_entries.items():
-        if entry is None:
-            entries[position] = None
-            continue
-        suffix = _entry_for_list([row[position] for row in appended])
-        rolled = _concat_entries(entry, suffix)
-        if rolled is not None:
-            entries[position] = rolled
-    return entries
-
-
 def _relation_entry(source, batch: ColumnBatch, position: int):
     """Serve ``position`` from the relation-level cache, or ``_MISS``.
 
@@ -233,7 +172,7 @@ def _relation_entry(source, batch: ColumnBatch, position: int):
     if payload is not None and payload[0] == version:
         entries = payload[1]
     else:
-        entries = _rolled_entries(source, payload, version)
+        entries = {}
         holder[0] = (version, entries)
     entry = entries.get(position, _MISS)
     if entry is _MISS:
@@ -786,10 +725,8 @@ def vector_union_distinct_indices(left: ColumnBatch, right: ColumnBatch):
     if not numpy_available() or not left.data:
         return None
     entries = []
-    for position in range(len(left.data)):
-        entry = _concat_entries(
-            column_entry(left, position), column_entry(right, position)
-        )
+    for left_column, right_column in zip(left.data, right.data):
+        entry = _entry_for_list([*left_column, *right_column])
         if entry is None:
             return None
         entries.append(entry)

@@ -81,8 +81,8 @@ class SessionStats:
     ``totals`` is a point-in-time *copy* of the cumulative
     :class:`ExecutionStats` of every call the session served (later calls do
     not mutate a snapshot you hold), with the write-maintenance counters —
-    which accrue on the plan cache and the statistics catalog, not in any
-    call — filled in; ``plan_cache`` is a point-in-time snapshot of the
+    which accrue on the plan cache, not in any call — filled in;
+    ``plan_cache`` is a point-in-time snapshot of the
     session-owned cache (hits, misses, evictions, invalidations, hit rate,
     operators saved).  Build one via :attr:`Session.stats`.
     """
@@ -109,11 +109,6 @@ class SessionStats:
     def entries_invalidated(self) -> int:
         """Plan-cache entries dropped by write/replace invalidation."""
         return self.totals.entries_invalidated
-
-    @property
-    def stats_refreshed_incrementally(self) -> int:
-        """Statistics-catalog entries refreshed from an append delta, not a full pass."""
-        return self.totals.stats_refreshed_incrementally
 
     @property
     def source_operators(self) -> int:
@@ -146,7 +141,6 @@ class SessionStats:
             "plan_cache_hit_rate": self.plan_cache_hit_rate,
             "entries_patched": self.entries_patched,
             "entries_invalidated": self.entries_invalidated,
-            "stats_refreshed_incrementally": self.stats_refreshed_incrementally,
             "pools_started": self.pools_started,
             "seconds": self.totals.total_seconds,
         }
@@ -179,17 +173,18 @@ class Session:
 
     Sessions are context managers; :meth:`close` is idempotent and detaches
     the plan cache and shuts the worker pools down.  All cross-query state is
-    invalidation-safe *and* delta-aware: replacing a relation wholesale
-    through :meth:`~repro.relational.database.Database.set_relation` drops
-    exactly the dependent plan-cache entries, while the incremental write API
+    invalidation-safe: replacing a relation wholesale through
+    :meth:`~repro.relational.database.Database.set_relation` drops exactly
+    the dependent plan-cache entries, while the write API
     (:meth:`~repro.relational.database.Database.append_rows` /
     ``update_rows`` / ``delete_rows``) publishes
-    :class:`~repro.relational.relation.Delta` records that *patch* cached
-    plans, indexes, shard layouts and column statistics in place whenever the
-    delta admits it — so a warm session survives interleaved writes without
-    going cold.  :attr:`stats` reports ``entries_patched`` /
-    ``entries_invalidated`` / ``stats_refreshed_incrementally`` so the saving
-    is observable.
+    :class:`~repro.relational.relation.Delta` records.  An append *patches*
+    the append-monotone plan-cache entries over the written relation, so a
+    warm session survives interleaved appends without going cold; every
+    other dependent entry is dropped.  Hash indexes, column statistics and
+    the column/shard/vector caches are keyed by the relation's version and
+    rebuild lazily on next use.  :attr:`stats` reports ``entries_patched`` /
+    ``entries_invalidated`` so the saving is observable.
     """
 
     def __init__(
@@ -664,9 +659,6 @@ class Session:
         cache = self.plan_cache.stats_snapshot()
         totals.entries_patched = cache["patches"]
         totals.entries_invalidated = cache["invalidations"]
-        totals.stats_refreshed_incrementally = (
-            self.database.stats_catalog.incremental_refreshes
-        )
         return SessionStats(
             queries=queries,
             workloads=workloads,
@@ -816,12 +808,6 @@ _METRIC_VIEWS = (
         "Plans currently memoized.",
         None,
         lambda session: len(session.optimizer),
-    ),
-    (
-        "repro_stats_incremental_refreshes_total",
-        "Statistics-catalog entries refreshed from an append delta.",
-        None,
-        lambda session: session.database.stats_catalog.incremental_refreshes,
     ),
     (
         "repro_pool_queue_depth",

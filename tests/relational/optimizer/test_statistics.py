@@ -133,16 +133,9 @@ class TestSelectivity:
 
 
 class TestRebuildCadence:
-    """The histogram-staleness counters reset on every full profile.
+    """One profiling pass per column per written version that is read."""
 
-    Pins the cadence of full profiling passes over a long append schedule:
-    accumulated appends trigger a re-profile once they exceed
-    ``HISTOGRAM_STALENESS`` (25%) of the row count *at the last profile*,
-    and the drift counters restart there — the catalog must not degenerate
-    into one full profile per append after the first crossing.
-    """
-
-    def test_long_append_schedule_rebuilds_periodically(self):
+    def test_long_append_schedule_profiles_once_per_read_version(self):
         schema = DatabaseSchema(
             "S", [RelationSchema.build("big", [("id", _I), ("val", _I)])]
         )
@@ -161,19 +154,14 @@ class TestRebuildCadence:
             rows = [(next_id + j, (next_id + j) % 7) for j in range(10)]
             db.append_rows("big", rows)
             next_id += 10
-            assert catalog.column("big", "val") is not None
-        # Thresholds: 25 (base 100, crossed on the 3rd append → profile at
-        # 130 rows), 32.5 (crossed on the 4th append after → profile at 170),
-        # 42.5 (crossed on the 5th append after → profile at 220).  Without
-        # the counter reset the catalog would re-profile on *every* append
-        # past the first crossing (collections == 10).
-        assert catalog.collections == 4
-        assert catalog.incremental_refreshes == 9
-        # The patched statistics match a cold profile over the final rows.
+            first = catalog.column("big", "val")
+            assert catalog.column("big", "val") is first  # read twice, profiled once
+        assert catalog.collections == 13
+        # The last profile matches a cold profile over the final rows.
         fresh = StatsCatalog(db).column("big", "val")
-        patched = catalog.column("big", "val")
-        assert patched.count == fresh.count
-        assert patched.ndv == fresh.ndv
-        assert patched.nulls == fresh.nulls
-        assert (patched.minimum, patched.maximum) == (fresh.minimum, fresh.maximum)
-        assert patched.histogram == fresh.histogram
+        final = catalog.column("big", "val")
+        assert final.count == fresh.count == 220
+        assert final.ndv == fresh.ndv
+        assert final.nulls == fresh.nulls
+        assert (final.minimum, final.maximum) == (fresh.minimum, fresh.maximum)
+        assert final.histogram == fresh.histogram

@@ -122,8 +122,8 @@ class TestShardCache:
         relation.append((99, "z"))
         after = shard_relation(relation, 3)
         assert after.total_rows == before.total_rows + 1
-        # The append extends only the *last* shard (a brand-new list); the
-        # pre-append ShardSet keeps its snapshot untouched.
+        # The append rebuilds the shards as brand-new lists; the pre-append
+        # ShardSet keeps its snapshot untouched.
         assert before.shards[-1].data[0] is not after.shards[-1].data[0]
         assert after.shards[-1].data[0][-1] == 99
         assert before.total_rows == 20

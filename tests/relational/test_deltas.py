@@ -1,13 +1,13 @@
-"""Unit tests for the delta-aware write path.
+"""Unit tests for the write path.
 
-Covers the whole maintenance chain one layer at a time: the
+Covers the chain one layer at a time: the
 :class:`~repro.relational.relation.Delta` records produced by relation-level
-writes, the bounded delta log and ``deltas_between`` chain reconstruction,
-the :class:`~repro.relational.database.Database` write API and its listener
-chain, in-place hash-index patching, plan-cache shape analysis
-(:func:`~repro.relational.plancache.append_shape`) and entry patching, and
-the statistics catalog's incremental refresh.  The invariant throughout:
-the delta path must be *byte-identical* to recomputing from scratch.
+writes, the :class:`~repro.relational.database.Database` write API and its
+listener chain, the version-keyed derived structures that rebuild lazily
+after a write, and plan-cache shape analysis
+(:func:`~repro.relational.plancache.append_shape`) and entry patching — the
+one structure a write patches.  The invariant throughout: after a write,
+every cache must be *byte-identical* to recomputing from scratch.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import threading
 
 import pytest
 
+from repro.relational import vector
 from repro.relational.algebra import (
     Aggregate,
     Join,
@@ -29,12 +30,13 @@ from repro.relational.columnar import ColumnBatch
 from repro.relational.database import Database
 from repro.relational.executor import Executor
 from repro.relational.expressions import col
+from repro.relational.indexes import IndexCatalog
+from repro.relational.parallel.partition import cached_chunk_columns, shard_relation
 from repro.relational.plancache import PlanCache, append_shape
 from repro.relational.predicates import ColumnEquals, Equals
 from repro.relational.relation import (
     DELTA_APPEND,
     DELTA_DELETE,
-    DELTA_LOG_LIMIT,
     DELTA_UPDATE,
     Relation,
 )
@@ -147,94 +149,77 @@ class TestRelationWrites:
         relation.delete_rows([1])
         assert [list(column) for column in batch.data] == snapshot
 
-
-class TestDeltaChains:
-    def test_deltas_between_orders_oldest_first(self):
-        relation = make_relation()
-        v0 = relation.version
-        first = relation.append_rows([(4, "v4")])
-        second = relation.update_rows([0], [(0, "u0")])
-        third = relation.delete_rows([1])
-        chain = relation.deltas_between(v0)
-        assert chain == [first, second, third]
-        assert relation.deltas_between(first.version) == [second, third]
-        assert relation.deltas_between(relation.version) == []
-
-    def test_unknown_version_breaks_the_chain(self):
-        relation = make_relation()
-        relation.append_rows([(4, "v4")])
-        assert relation.deltas_between(-12345) is None
-
-    def test_log_is_bounded(self):
-        relation = make_relation()
-        v0 = relation.version
-        checkpoint = None
-        for i in range(DELTA_LOG_LIMIT + 5):
-            if i == 5:
-                checkpoint = relation.version
-            relation.append_rows([(100 + i, "x")])
-        # The full chain fell off the front of the bounded log...
-        assert relation.deltas_between(v0) is None
-        # ... but a recent enough checkpoint still reconstructs.
-        recent = relation.deltas_between(checkpoint)
-        assert recent is not None
-        assert len(recent) == DELTA_LOG_LIMIT
-
-    def test_views_share_the_log(self):
+    def test_views_keep_their_derived_data(self):
+        # A write installs fresh cache holders on the written relation only;
+        # a relabelled view keeps the old holders and what they cached.
         relation = make_relation()
         view = relation.prefixed("x")
-        v0 = relation.version
-        delta = relation.append_rows([(4, "v4")])
-        assert view.deltas_between(v0, delta.version) == [delta]
+        columns = relation.column_data()
+        shards = [shard.data for shard in shard_relation(relation, 2).shards]
+        holders = (relation._column_cache, relation._shard_cache, relation._vector_cache)
+        relation.append_rows([(9, "v9")])
+        assert all(
+            kept is old
+            for kept, old in zip(
+                (view._column_cache, view._shard_cache, view._vector_cache), holders
+            )
+        )
+        assert all(
+            new is not old
+            for new, old in zip(
+                (relation._column_cache, relation._shard_cache, relation._vector_cache),
+                holders,
+            )
+        )
+        assert view.column_data() is columns
+        assert [shard.data for shard in shard_relation(view, 2).shards] == shards
+        assert relation.column_data()[0] == [0, 1, 2, 3, 9]
+        assert shard_relation(relation, 2).total_rows == 5
 
 
-class TestDeltaLogThreadSafety:
-    def test_concurrent_writes_and_walks_never_tear(self):
-        # Regression: the bounded delta log was appended/trimmed and walked
-        # without a lock, so a walker racing a writer could see the deque
-        # mutate mid-iteration or reconstruct a torn chain.  The log is now
-        # guarded by a per-lineage lock: every walk returns either None
-        # (base version fell off the bounded log) or a contiguous chain.
-        relation = Relation(["t.a"], [(0,)], name="t")
+class TestConcurrentWrites:
+    def test_readers_never_see_torn_derived_data(self):
+        # Every row is (i, i), so any column-major snapshot or index bucket
+        # mixing two versions would show up as mismatched columns or rows.
+        relation = Relation(["t.a", "t.b"], [(0, 0)], name="t")
         stop = threading.Event()
         errors: list[BaseException] = []
 
         def writer():
             try:
-                for i in range(400):
-                    relation.append_rows([(i,)])
+                for i in range(1, 300):
+                    relation.append_rows([(i, i)])
                     if i % 50 == 10:
-                        relation.update_rows([0], [(i,)])
+                        relation.update_rows([0], [(i, i)])
+                    if i % 70 == 20:
+                        relation.delete_rows([1])
             except BaseException as exc:  # pragma: no cover - failure path
                 errors.append(exc)
             finally:
                 stop.set()
 
-        def walker():
+        def reader():
+            catalog = IndexCatalog()
             try:
                 while not stop.is_set():
-                    # Walk repeatedly from a base that goes stale while the
-                    # writer races on.
-                    base = relation.version
-                    for _ in range(10):
-                        chain = relation.deltas_between(base)
-                        if chain is None:  # base fell off the bounded log
-                            continue
-                        if chain:
-                            assert chain[0].base_version == base
-                            for earlier, later in zip(chain, chain[1:]):
-                                assert later.base_version == earlier.version
+                    first, second = relation.column_data()
+                    assert first == second
+                    index = catalog.get(relation, "t", "t.a")
+                    for value in (0, 10, 60):
+                        assert all(row == (value, value) for row in index.lookup_rows(value))
             except BaseException as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
         threads = [threading.Thread(target=writer)] + [
-            threading.Thread(target=walker) for _ in range(3)
+            threading.Thread(target=reader) for _ in range(3)
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
         assert errors == []
+        first, second = relation.column_data()
+        assert first == second == [row[0] for row in relation.rows]
 
 
 # --------------------------------------------------------------------------- #
@@ -285,39 +270,31 @@ class TestDatabaseWrites:
             make_database().append_rows("ghost", [(1,)])
 
 
-class TestIndexPatching:
-    def test_append_patches_cached_index_in_place(self):
+class TestIndexesAfterWrites:
+    def test_append_rebuilds_cached_index_lazily(self):
         db = make_database()
         index = db.index("emp", "dept")
         assert index.lookup(10) == [0, 2]
         builds = db.index_catalog.builds
         db.append_rows("emp", [(4, 10), (5, 30)])
-        fresh = db.index("emp", "dept")
-        assert fresh is index  # same object: patched, not rebuilt
-        assert db.index_catalog.builds == builds
-        assert db.index_catalog.patches == 1
-        assert fresh.lookup(10) == [0, 2, 3]
-        assert fresh.lookup(30) == [4]
-        # The patched index is still the cache's current entry.
-        scratch = db.index_catalog.get(db.relation("emp"), "emp", "emp.dept")
-        assert scratch is fresh
+        assert db.index_catalog.builds == builds  # nothing built at write time
+        rebuilt = db.index("emp", "dept")
+        assert rebuilt is not index
+        assert db.index_catalog.builds == builds + 1
+        assert rebuilt.lookup(10) == [0, 2, 3]
+        assert rebuilt.lookup(30) == [4]
+        assert db.index("emp", "dept") is rebuilt
 
-    def test_nonappend_write_patches_cached_index(self):
-        # Regression: delete/update deltas used to drop the cached index and
-        # force a full rebuild on the next indexed select.  They now patch
-        # the buckets in place, exactly like appends.
+    def test_nonappend_writes_rebuild_cached_index_once(self):
         db = make_database()
-        index = db.index("emp", "dept")
+        db.index("emp", "dept")
         builds = db.index_catalog.builds
         db.delete_rows("emp", [0])
         db.update_rows("emp", [0], [(2, 30)])
-        fresh = db.index("emp", "dept")
-        assert fresh is index  # same object: patched, not rebuilt
-        assert db.index_catalog.builds == builds
-        assert db.index_catalog.patches == 2
-        assert db.index_catalog.rebuilds == 0
-        assert fresh.lookup(10) == [1]  # positions renumbered after the delete
-        assert fresh.lookup(30) == [0]  # re-keyed by the update
+        rebuilt = db.index("emp", "dept")
+        assert db.index_catalog.builds == builds + 1
+        assert rebuilt.lookup(10) == [1]  # positions renumbered after the delete
+        assert rebuilt.lookup(30) == [0]  # re-keyed by the update
 
     def test_wholesale_replacement_drops_cached_index(self):
         db = make_database()
@@ -329,6 +306,90 @@ class TestIndexPatching:
         fresh = db.index("emp", "dept")
         assert db.index_catalog.builds == builds + 1
         assert fresh.lookup(90) == [0]
+
+    def test_write_keeps_other_relations_indexes(self):
+        db = make_database()
+        dept_index = db.index("dept", "id")
+        db.index("emp", "dept")
+        builds = db.index_catalog.builds
+        db.append_rows("emp", [(4, 20)])
+        db.delete_rows("emp", [0])
+        assert db.index("dept", "id") is dept_index
+        assert db.index_catalog.builds == builds
+
+
+# --------------------------------------------------------------------------- #
+# version-keyed derived structures: rebuilt lazily, equal to a fresh build
+# --------------------------------------------------------------------------- #
+_T_SCHEMA = DatabaseSchema("S", [RelationSchema.build("t", [("a", _I), ("b", _S)])])
+
+#: Write schedules, as ``(Database method, arguments)`` steps.
+_WRITES = {
+    "append": [("append_rows", ([(8, "s0"), (2, "s9")],))],
+    "update": [("update_rows", ([0, 5], [(7, "s7"), (2, "s1")]))],
+    "delete": [("delete_rows", ([1, 4],))],
+    "mixed chain": [
+        ("append_rows", ([(9, "s2")],)),
+        ("update_rows", ([2], [(0, "s0")])),
+        ("delete_rows", ([0, 3],)),
+        ("append_rows", ([(5, None), (6, "s6")],)),
+    ],
+    "wholesale replacement": [
+        (
+            "set_relation",
+            (Relation.from_schema(_T_SCHEMA.relation("t"), [(3, "s3"), (9, "s1")]),),
+        )
+    ],
+}
+
+
+def _vector_entry(entry):
+    """A classified vector column as plain, comparable values."""
+    if entry is None:
+        return None
+    array, has_nan = entry
+    return array.dtype.str, array.tolist(), has_nan
+
+
+def _derived(db: Database) -> dict:
+    """Every version-keyed structure derived from relation ``t`` (built or cached)."""
+    relation = db.relation("t")
+    keys = {"a": [*range(10), None], "b": [*(f"s{i}" for i in range(10)), None]}
+    derived = {
+        "column_data": relation.column_data(),
+        "index_lookups": {
+            (attribute, value): (
+                db.index("t", attribute).lookup(value),
+                db.index("t", attribute).lookup_rows(value),
+            )
+            for attribute, values in keys.items()
+            for value in values
+        },
+        "column_stats": [db.stats_catalog.column("t", name) for name in keys],
+        "row_count": db.stats_catalog.row_count("t"),
+        "chunk_shards": [shard.data for shard in shard_relation(relation, 3).shards],
+        "chunk_columns": cached_chunk_columns(relation, 3, [0, 1]),
+    }
+    if vector.numpy_available():
+        batch = ColumnBatch.from_relation(relation)
+        derived["vector_entries"] = [
+            _vector_entry(vector.column_entry(batch, position)) for position in (0, 1)
+        ]
+    return derived
+
+
+@pytest.mark.parametrize("schedule", list(_WRITES), ids=list(_WRITES))
+def test_derived_structures_match_a_fresh_build_after_writes(schedule):
+    rows = [(i % 5, f"s{i % 3}") for i in range(8)]
+    db = Database(_T_SCHEMA, {"t": Relation.from_schema(_T_SCHEMA.relation("t"), rows)})
+    _derived(db)  # warm every cache at the pre-write version
+    for method, arguments in _WRITES[schedule]:
+        getattr(db, method)("t", *arguments)
+    written = db.relation("t")
+    fresh = Database(
+        _T_SCHEMA, {"t": Relation(written.columns, written.rows, name=written.name)}
+    )
+    assert _derived(db) == _derived(fresh)
 
 
 # --------------------------------------------------------------------------- #
@@ -456,21 +517,19 @@ def make_post_append_database() -> Database:
 
 
 # --------------------------------------------------------------------------- #
-# statistics catalog: incremental refresh
+# statistics catalog
 # --------------------------------------------------------------------------- #
-class TestIncrementalStats:
-    def _seeded(self, n: int = 100):
-        schema = DatabaseSchema(
-            "S", [RelationSchema.build("t", [("a", _I), ("b", _S)])]
+class TestStatsAfterWrites:
+    @staticmethod
+    def _seeded(n: int = 100) -> Database:
+        return Database(
+            _T_SCHEMA,
+            {
+                "t": Relation.from_schema(
+                    _T_SCHEMA.relation("t"), [(i % 50, f"s{i % 7}") for i in range(n)]
+                )
+            },
         )
-        db = Database(schema)
-        db.set_relation(
-            "t",
-            Relation.from_schema(
-                schema.relation("t"), [(i % 50, f"s{i % 7}") for i in range(n)]
-            ),
-        )
-        return db
 
     @staticmethod
     def _as_dict(stats):
@@ -484,28 +543,28 @@ class TestIncrementalStats:
             "histogram": stats.histogram,
         }
 
-    def test_in_range_append_refreshes_incrementally(self):
+    def test_append_reprofiles_on_next_read(self):
         db = self._seeded()
         catalog = db.stats_catalog
         catalog.column("t", "a")
         collections = catalog.collections
         db.append_rows("t", [(10, "s1"), (25, "s9"), (49, None)])
-        patched = catalog.column("t", "a")
-        assert catalog.incremental_refreshes == 1
-        assert catalog.collections == collections
-        # Byte-equal to a full profile on a fresh catalog.
+        assert catalog.collections == collections  # nothing profiled at write time
+        refreshed = catalog.column("t", "a")
+        assert catalog.collections == collections + 1
+        assert refreshed.count == 103
         full = type(catalog)(db).column("t", "a")
-        assert self._as_dict(patched) == self._as_dict(full)
+        assert self._as_dict(refreshed) == self._as_dict(full)
 
-    def test_string_column_patches_too(self):
+    def test_string_column_reprofiles_too(self):
         db = self._seeded()
         catalog = db.stats_catalog
         catalog.column("t", "b")
         db.append_rows("t", [(1, "s9"), (2, None)])
-        patched = catalog.column("t", "b")
-        assert catalog.incremental_refreshes == 1
+        refreshed = catalog.column("t", "b")
+        assert (refreshed.ndv, refreshed.nulls) == (8, 1)
         full = type(catalog)(db).column("t", "b")
-        assert self._as_dict(patched) == self._as_dict(full)
+        assert self._as_dict(refreshed) == self._as_dict(full)
 
     def test_out_of_range_append_reprofiles(self):
         db = self._seeded()
@@ -514,33 +573,53 @@ class TestIncrementalStats:
         collections = catalog.collections
         db.append_rows("t", [(999, "s0")])  # outside the profiled [min, max]
         fresh = catalog.column("t", "a")
-        assert catalog.incremental_refreshes == 0
         assert catalog.collections == collections + 1
         assert fresh.maximum == 999
-
-    def test_staleness_threshold_forces_reprofile(self):
-        db = self._seeded(n=20)
-        catalog = db.stats_catalog
-        catalog.column("t", "a")
-        collections = catalog.collections
-        # 30% appended > HISTOGRAM_STALENESS (25%): bucket drift too large.
-        db.append_rows("t", [(5, "s0")] * 6)
-        catalog.column("t", "a")
-        assert catalog.incremental_refreshes == 0
-        assert catalog.collections == collections + 1
 
     def test_nonappend_write_reprofiles(self):
         db = self._seeded()
         catalog = db.stats_catalog
         catalog.column("t", "a")
         collections = catalog.collections
-        db.update_rows("t", [0], [(3, "s1")])
+        db.update_rows("t", [0], [(-3, "s1")])
+        refreshed = catalog.column("t", "a")
+        assert catalog.collections == collections + 1
+        assert refreshed.minimum == -3
+        db.delete_rows("t", [0])
+        assert catalog.column("t", "a").minimum == 0
+        assert catalog.collections == collections + 2
+
+    def test_writes_between_reads_profile_once(self):
+        db = self._seeded()
+        catalog = db.stats_catalog
         catalog.column("t", "a")
-        assert catalog.incremental_refreshes == 0
+        collections = catalog.collections
+        db.append_rows("t", [(7, "s7")])
+        db.update_rows("t", [1], [(8, "s8")])
+        db.delete_rows("t", [2])
+        refreshed = catalog.column("t", "a")
+        assert catalog.column("t", "a") is refreshed
         assert catalog.collections == collections + 1
 
+    def test_write_keeps_other_relations_profiles(self):
+        db = make_database()
+        catalog = db.stats_catalog
+        dept = catalog.column("dept", "dname")
+        catalog.column("emp", "dept")
+        collections = catalog.collections
+        db.append_rows("emp", [(4, 20)])
+        assert catalog.column("dept", "dname") is dept
+        assert catalog.collections == collections
+
     def test_row_count_tracks_writes(self):
-        db = self._seeded(n=10)
+        db = Database(
+            _T_SCHEMA,
+            {
+                "t": Relation.from_schema(
+                    _T_SCHEMA.relation("t"), [(i, f"s{i % 7}") for i in range(10)]
+                )
+            },
+        )
         catalog = db.stats_catalog
         assert catalog.row_count("t") == 10
         db.append_rows("t", [(1, "s1")])

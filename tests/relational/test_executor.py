@@ -9,6 +9,7 @@ from repro.relational.expressions import Arithmetic, col, lit
 from repro.relational.predicates import (
     And,
     ColumnEquals,
+    Comparison,
     Equals,
     GreaterThan,
     TruePredicate,
@@ -459,3 +460,58 @@ class TestIndexedSelectFirstConjunctOnly:
         for engine in ("row", "columnar"):
             result = execute(plan, db, engine=engine)
             assert result.rows == [("2.0", 1)], engine
+
+
+class _WritesOnIndexRequest(Database):
+    """Deletes ``emp`` row 0 when an index is first requested.
+
+    The write lands after the executor has pinned its snapshot of ``emp`` and
+    before the index lookup — a concurrent writer, made deterministic.
+    """
+
+    written = False
+
+    def _write_once(self) -> None:
+        if not self.written:
+            self.written = True
+            self.delete_rows("emp", [0])
+
+    def index(self, relation_name, column):
+        self._write_once()
+        return super().index(relation_name, column)
+
+    @property
+    def index_catalog(self):
+        self._write_once()
+        return super().index_catalog
+
+
+class TestIndexedSelectReadsPinnedSnapshot:
+    @pytest.mark.parametrize("engine", ["row", "columnar"])
+    def test_write_between_pin_and_lookup_is_invisible(self, database, engine):
+        # Regression: the fast path pinned ``emp`` but then looked up rows
+        # through an index over the *live* relation, so a write landing in
+        # between returned post-write rows under pre-write Scan counters.
+        racing = _WritesOnIndexRequest(
+            database.schema, {name: relation.rename({}) for name, relation in database}
+        )
+        indexed_stats = ExecutionStats()
+        indexed = execute(
+            Select(Scan("emp"), Equals(col("emp.dept"), 10)),
+            racing,
+            indexed_stats,
+            engine=engine,
+        )
+        assert racing.written and len(racing.relation("emp")) == 3
+        # The generic path (a literal-left comparison never takes the index)
+        # over the unwritten snapshot.
+        generic_stats = ExecutionStats()
+        generic = execute(
+            Select(Scan("emp"), Comparison(lit(10), "=", col("emp.dept"))),
+            database,
+            generic_stats,
+            engine=engine,
+        )
+        assert [row[1] for row in generic.rows] == ["ann", "bob"]
+        assert indexed == generic
+        assert indexed_stats.snapshot() == generic_stats.snapshot()

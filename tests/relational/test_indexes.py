@@ -18,6 +18,12 @@ class TestHashIndex:
         index = HashIndex(relation(), "r.a")
         assert index.lookup_rows(2) == [(2, "y")]
 
+    def test_lookup_rows_reads_the_rows_it_was_built_from(self):
+        rel = relation()
+        index = HashIndex(rel, "r.a")
+        rel.delete_rows([0])
+        assert index.lookup_rows(1) == [(1, "x"), (1, "z")]
+
     def test_contains_and_len(self):
         index = HashIndex(relation(), "r.a")
         assert 1 in index
@@ -96,104 +102,76 @@ class TestIndexCatalog:
         assert len(catalog) == 0
 
 
-class TestDeltaPatching:
-    """In-place index maintenance through write deltas (``apply_delta``)."""
+class TestRebuildAfterWrites:
+    """A write bumps the version token; the next ``get`` builds a fresh index."""
 
-    def test_append_patches_in_place(self):
+    def test_append_rebuilds_on_next_get(self):
         catalog = IndexCatalog()
         rel = relation()
         index = catalog.get(rel, "r", "r.a")
-        delta = rel.append_rows([(2, "w"), (4, "u")])
-        assert catalog.apply_delta("r", rel, delta) == 1
-        assert catalog.get(rel, "r", "r.a") is index
-        assert index.lookup(2) == [1, 3]
-        assert index.lookup(4) == [4]
-        assert (catalog.builds, catalog.patches, catalog.rebuilds) == (1, 1, 0)
-
-    def test_delete_patches_in_place(self):
-        # Regression: delete/update deltas used to drop the cached index and
-        # force a full rebuild on next use.  Deleting positions 1 and 3 keeps
-        # rows 0/2/4, which shift down to 0/1/2 — the patched buckets must be
-        # exactly what a fresh build over the post-write rows produces.
-        catalog = IndexCatalog()
-        rel = Relation(["r.a"], [(1,), (2,), (1,), (3,), (2,)], name="r")
-        index = catalog.get(rel, "r", "r.a")
-        delta = rel.delete_rows([1, 3])
-        assert catalog.apply_delta("r", rel, delta) == 1
-        assert catalog.get(rel, "r", "r.a") is index
-        assert index.lookup(1) == [0, 1]
-        assert index.lookup(2) == [2]
-        assert 3 not in index
-        assert index._buckets == HashIndex(rel, "r.a")._buckets
-        assert (catalog.builds, catalog.patches, catalog.rebuilds) == (1, 1, 0)
-
-    def test_update_patches_in_place(self):
-        catalog = IndexCatalog()
-        rel = Relation(["r.a"], [(1,), (2,), (1,)], name="r")
-        index = catalog.get(rel, "r", "r.a")
-        delta = rel.update_rows([0, 2], [(2,), (4,)])
-        assert catalog.apply_delta("r", rel, delta) == 1
-        assert catalog.get(rel, "r", "r.a") is index
-        assert index.lookup(1) == []
-        assert index.lookup(2) == [0, 1]
-        assert index.lookup(4) == [2]
-        assert index._buckets == HashIndex(rel, "r.a")._buckets
-        assert (catalog.builds, catalog.patches, catalog.rebuilds) == (1, 1, 0)
-
-    def test_mixed_write_sequence_tracks_fresh_build(self):
-        catalog = IndexCatalog()
-        rel = Relation(["r.a"], [(i % 3,) for i in range(9)], name="r")
-        index = catalog.get(rel, "r", "r.a")
-        for delta in (
-            rel.append_rows([(5,), (0,)]),
-            rel.update_rows([0, 4, 9], [(7,), (7,), (1,)]),
-            rel.delete_rows([2, 3, 10]),
-        ):
-            assert catalog.apply_delta("r", rel, delta) == 1
-        assert catalog.get(rel, "r", "r.a") is index
-        assert index._buckets == HashIndex(rel, "r.a")._buckets
-        assert (catalog.builds, catalog.patches, catalog.rebuilds) == (1, 3, 0)
-
-    def test_broken_chain_drops_entry(self):
-        catalog = IndexCatalog()
-        rel = relation()
-        index = catalog.get(rel, "r", "r.a")
-        rel.append_rows([(7, "a")])  # this delta is never applied
-        delta = rel.append_rows([(8, "b")])
-        assert catalog.apply_delta("r", rel, delta) == 0
-        assert (catalog.patches, catalog.rebuilds) == (0, 1)
+        rel.append_rows([(2, "w"), (4, "u")])
         rebuilt = catalog.get(rel, "r", "r.a")
         assert rebuilt is not index
-        assert rebuilt.lookup(7) == [3]
+        assert rebuilt.lookup(2) == [1, 3]
+        assert rebuilt.lookup(4) == [4]
+        assert rebuilt.lookup_rows(2) == [(2, "y"), (2, "w")]
         assert catalog.builds == 2
 
-    def test_none_delta_drops_entry(self):
+    def test_delete_rebuilds_on_next_get(self):
+        # Deleting positions 1 and 3 keeps rows 0/2/4, which shift down to
+        # 0/1/2 in the rebuilt buckets.
+        catalog = IndexCatalog()
+        rel = Relation(["r.a"], [(1,), (2,), (1,), (3,), (2,)], name="r")
+        catalog.get(rel, "r", "r.a")
+        rel.delete_rows([1, 3])
+        rebuilt = catalog.get(rel, "r", "r.a")
+        assert rebuilt.lookup(1) == [0, 1]
+        assert rebuilt.lookup(2) == [2]
+        assert 3 not in rebuilt
+        assert catalog.builds == 2
+
+    def test_update_rebuilds_on_next_get(self):
+        catalog = IndexCatalog()
+        rel = Relation(["r.a"], [(1,), (2,), (1,)], name="r")
+        catalog.get(rel, "r", "r.a")
+        rel.update_rows([0, 2], [(2,), (4,)])
+        rebuilt = catalog.get(rel, "r", "r.a")
+        assert rebuilt.lookup(1) == []
+        assert rebuilt.lookup(2) == [0, 1]
+        assert rebuilt.lookup(4) == [2]
+        assert catalog.builds == 2
+
+    def test_writes_between_reads_rebuild_once(self):
+        catalog = IndexCatalog()
+        rel = Relation(["r.a"], [(i % 3,) for i in range(9)], name="r")
+        catalog.get(rel, "r", "r.a")
+        rel.append_rows([(5,), (0,)])
+        rel.update_rows([0, 4, 9], [(7,), (7,), (1,)])
+        rel.delete_rows([2, 3, 10])
+        rebuilt = catalog.get(rel, "r", "r.a")
+        assert catalog.get(rel, "r", "r.a") is rebuilt
+        assert rebuilt._buckets == HashIndex(rel, "r.a")._buckets
+        assert catalog.builds == 2
+
+    def test_prewrite_index_is_untouched_by_writes(self):
+        catalog = IndexCatalog()
+        rel = Relation(["r.a", "r.b"], [(1, "x"), (2, "y"), (1, "z")], name="r")
+        index = catalog.get(rel, "r", "r.a")
+        rel.update_rows([0], [(2, "u")])
+        rel.append_rows([(1, "w")])
+        assert index.lookup(1) == [0, 2]
+        assert index.lookup_rows(1) == [(1, "x"), (1, "z")]
+        assert index.lookup(2) == [1]
+
+    def test_older_snapshot_gets_an_index_over_its_own_rows(self):
+        # An executor that pinned a view before a write asks for the index of
+        # that view: same version, same rows — never the live relation's.
         catalog = IndexCatalog()
         rel = relation()
-        catalog.get(rel, "r", "r.a")
-        assert catalog.apply_delta("r", rel, None) == 0
-        assert len(catalog) == 0
-        assert catalog.rebuilds == 1
-
-    def test_database_write_path_patches_every_kind(self):
-        from repro.relational.database import Database
-        from repro.relational.schema import DatabaseSchema, RelationSchema
-        from repro.relational.types import DataType
-
-        schema = DatabaseSchema(
-            "S",
-            [RelationSchema.build("emp", [("id", DataType.INTEGER), ("dept", DataType.INTEGER)])],
-        )
-        db = Database(schema)
-        db.set_relation(
-            "emp",
-            Relation.from_schema(schema.relation("emp"), [(1, 10), (2, 20), (3, 10)]),
-        )
-        index = db.index("emp", "dept")
-        db.append_rows("emp", [(4, 20)])
-        db.update_rows("emp", [0], [(1, 30)])
-        db.delete_rows("emp", [1])
-        catalog = db.index_catalog
-        assert catalog.get(db.relation("emp"), "emp", "emp.dept") is index
-        assert index._buckets == HashIndex(db.relation("emp"), "emp.dept")._buckets
-        assert (catalog.builds, catalog.patches, catalog.rebuilds) == (1, 3, 0)
+        pinned = rel.prefixed("r")
+        rel.delete_rows([0])
+        live = catalog.get(rel, "r", "r.a")
+        assert live.lookup_rows(1) == [(1, "z")]
+        snapshot = catalog.get(pinned, "r", "r.a")
+        assert snapshot.lookup_rows(1) == [(1, "x"), (1, "z")]
+        assert catalog.builds == 2

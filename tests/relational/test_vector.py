@@ -3,8 +3,8 @@
 The differential harness (tests/core/evaluators) pins end-to-end byte-identity
 across all engines; these tests pin the kernel layer directly — classification
 rules, per-node fallback triggers, serial-identical index orders, the
-relation-level array cache and its append roll-forward, and the NumPy-less
-degradation path (simulated by monkeypatching ``HAVE_NUMPY``).
+relation-level array cache, and the NumPy-less degradation path (simulated
+by monkeypatching ``HAVE_NUMPY``).
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class TestClassification:
 
     def test_rejection_is_monotone_under_appends(self):
         # Appending rows can never un-reject a column: the offending values
-        # stay.  (The roll-forward relies on this.)
+        # stay.
         column = [1, None]
         assert _entry_for_list(column) is None
         assert _entry_for_list(column + [2, 3]) is None
@@ -326,7 +326,7 @@ class TestDistinctAndGroupKernels:
 
 
 # --------------------------------------------------------------------------- #
-# relation-level array cache and append roll-forward
+# relation-level array cache
 # --------------------------------------------------------------------------- #
 class TestRelationCache:
     def test_entries_cached_on_relation(self):
@@ -345,15 +345,16 @@ class TestRelationCache:
         view = rel.prefixed("x")
         assert view._vector_cache is rel._vector_cache
 
-    def test_append_rolls_arrays_forward(self):
+    def test_append_reclassifies_arrays_lazily(self):
         rel = Relation(["t.a", "t.b"], [(1, "x"), (2, "y")], name="t")
         b = ColumnBatch.from_relation(rel)
         column_entry(b, 0)
         column_entry(b, 1)
         rel.append_rows([(3, "z")])
-        rolled = column_entry(ColumnBatch.from_relation(rel), 0)
-        assert rolled is not None
-        assert rolled[0].tolist() == [1, 2, 3]
+        assert rel._vector_cache[0] is None
+        rebuilt = column_entry(ColumnBatch.from_relation(rel), 0)
+        assert rebuilt is not None
+        assert rebuilt[0].tolist() == [1, 2, 3]
         assert rel._vector_cache[0][0] == rel.version
         strings = column_entry(ColumnBatch.from_relation(rel), 1)
         assert strings[0].tolist() == ["x", "y", "z"]

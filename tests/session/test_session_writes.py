@@ -3,8 +3,8 @@
 The PR-level acceptance pins:
 
 * ``session.stats`` exposes the delta counters (``entries_patched``,
-  ``entries_invalidated``, ``stats_refreshed_incrementally``) and they move
-  when writes flow through an attached database;
+  ``entries_invalidated``) and they move when writes flow through an
+  attached database;
 * ``set_relation`` invalidation is scoped to the written relation's
   dependents — unrelated relations keep their cached state;
 * concurrent ``session.query`` + ``Database.append_rows`` never crashes and
@@ -86,36 +86,29 @@ class TestDeltaCounters:
             cold = _cold_answers(example.q0(), example, method="e-mqo")
             assert _answers(s.query(example.q0())) == cold
 
-    def test_stats_refresh_incrementally_after_appends(self, example):
+    def test_stats_reprofile_lazily_after_appends(self, example):
         with Session(example.database, example.mappings, links=example.links) as s:
             s.query(example.q0())  # optimizer profiles Customer columns
-            assert s.stats.stats_refreshed_incrementally == 0
-            # Two rounds: one appended row against the 3-row base exceeds the
-            # 25% staleness threshold (a legitimate full re-profile); the
-            # second append against the re-profiled base patches in place.
-            example.database.append_rows(
-                "Customer", [_customer(10, "123", "www")]
-            )
+            catalog = s.stats_catalog
+            profiled = catalog.collections
+            assert profiled > 0
             s.query(example.q0())
-            example.database.append_rows(
-                "Customer", [_customer(11, "123", "xxx")]
-            )
-            s.query(example.q0())  # optimizer re-reads stats past the write
-            stats = s.stats
-        assert stats.stats_refreshed_incrementally > 0
-        assert (
-            stats.totals.stats_refreshed_incrementally
-            == stats.stats_refreshed_incrementally
-        )
+            assert catalog.collections == profiled  # unwritten: no new pass
+            for cid, oaddr in ((10, "www"), (11, "xxx")):
+                example.database.append_rows("Customer", [_customer(cid, "123", oaddr)])
+                assert catalog.collections == profiled  # nothing at write time
+                answer = _answers(s.query(example.q0()))
+                # The optimizer re-reads stats past the write: a fresh pass.
+                assert catalog.collections > profiled
+                profiled = catalog.collections
+                assert answer == _cold_answers(example.q0(), example)
+            customers = catalog.row_count("Customer")
+        assert customers == len(example.database.relation("Customer"))
 
     def test_counters_appear_in_snapshot(self, example):
         with Session(example.database, example.mappings, links=example.links) as s:
             snapshot = s.stats.snapshot()
-        for key in (
-            "entries_patched",
-            "entries_invalidated",
-            "stats_refreshed_incrementally",
-        ):
+        for key in ("entries_patched", "entries_invalidated"):
             assert key in snapshot
 
 
