@@ -1,25 +1,24 @@
 """Parallel sharded engine vs serial columnar on the Figure 11(b) largest size.
 
-The parallel engine (``engine="parallel"``) shards the columnar operators
-morsel-wise over a worker pool; this benchmark is its guard rail.  It runs
-the Figure 11(b) largest-size setting (Q4 over the Excel scenario at the
+The parallel engine (``engine="parallel"``) runs the columnar operators in
+contiguous morsels on a thread pool; this benchmark is its guard rail.  It
+runs the Figure 11(b) largest-size setting (Q4 over the Excel scenario at the
 "100 MB" calibrated scale, ``optimize=False`` like the engine benchmarks —
 the optimizer erases the sweep work that separates the engines) on
 
-* the serial columnar engine (the baseline),
-* the parallel engine with ≥4 thread workers, and
-* the parallel engine with ≥4 process workers (the GIL-free mode),
+* the serial columnar engine (the baseline) and
+* the parallel engine with ≥4 thread workers,
 
 and always asserts **byte-identical answers and identical operator/row
-counters** across all of them.
+counters** across both.
 
 The >1.5x speedup assertion is gated on the machine actually having ≥4
 usable cores: CPython threads cannot speed up pure-Python sweeps beyond the
-GIL and process pools cannot beat serial on a single core, so on smaller
+GIL, and cannot beat serial on a single core at all, so on smaller
 machines (CI containers are often 1-2 cores) the benchmark records the
 measured table in ``BENCH_engine_parallel.json`` (repo root) with the core
 count and skips only the speedup gate — never the correctness gates.  The
-gate takes the best configuration over best-of-``ROUNDS`` timings; on a
+gate takes the best method over best-of-``ROUNDS`` timings; on a
 known-noisy shared runner it can be disabled explicitly with
 ``REPRO_BENCH_PARALLEL_GATE=off`` (the correctness gates still run).
 """
@@ -51,15 +50,7 @@ CONFIGS = {
     "columnar": {"engine": "columnar"},
     f"parallel-thread[{WORKERS}]": {
         "engine": "parallel",
-        "parallel": ParallelConfig(
-            workers=WORKERS, kind="thread", min_partition_rows=1024
-        ),
-    },
-    f"parallel-process[{WORKERS}]": {
-        "engine": "parallel",
-        "parallel": ParallelConfig(
-            workers=WORKERS, kind="process", min_partition_rows=1024
-        ),
+        "parallel": ParallelConfig(workers=WORKERS, min_partition_rows=1024),
     },
 }
 

@@ -214,53 +214,6 @@ def run_engines(
     return points
 
 
-def run_parallel_scaling(
-    methods: Sequence[str],
-    worker_counts: Sequence[int],
-    query: TargetQuery,
-    scenario: MatchingScenario,
-    x: Any = None,
-    kind: str = "thread",
-    min_partition_rows: int = 2048,
-    **options: Any,
-) -> list[ExperimentPoint]:
-    """Run each method on the parallel engine at several worker counts.
-
-    A worker count of ``1`` is the serial-columnar baseline (the parallel
-    engine with one worker falls back to the serial code on every node).
-    The worker count becomes part of the reported method label
-    (``method@parallel[w]``) so a series carries the scaling dimension
-    through the standard reporting tables; ``point.details["workers"]``
-    holds it separately as well.
-    """
-    from repro.relational.parallel import ParallelConfig
-
-    points = []
-    for workers in worker_counts:
-        for method in methods:
-            if workers <= 1:
-                point = run_method(
-                    method, query, scenario, x=x, engine="columnar", **options
-                )
-            else:
-                config = ParallelConfig(
-                    workers=workers, kind=kind, min_partition_rows=min_partition_rows
-                )
-                point = run_method(
-                    method,
-                    query,
-                    scenario,
-                    x=x,
-                    engine="parallel",
-                    parallel=config,
-                    **options,
-                )
-            point.method = f"{method}@parallel[{workers}]"
-            point.details["workers"] = workers
-            points.append(point)
-    return points
-
-
 def run_optimizer_modes(
     methods: Sequence[str],
     query: TargetQuery,

@@ -19,7 +19,7 @@ from repro.core.links import SchemaLinks
 from repro.core.target_query import TargetQuery
 from repro.matching.mappings import MappingSet
 from repro.relational.database import Database
-from repro.relational.executor import DEFAULT_ENGINE, ENGINES, available_engines
+from repro.relational.executor import DEFAULT_ENGINE, check_engine
 from repro.relational.stats import ExecutionStats
 
 #: Names of the timing phases every evaluator records.
@@ -43,31 +43,24 @@ class SharedState:
     * ``optimizer`` — one :class:`~repro.relational.optimizer.Optimizer`
       whose canonical-fingerprint memo persists across calls (the session's
       database supplies the statistics catalog);
-    * ``inflight`` — one
-      :class:`~repro.relational.parallel.InflightComputations` registry so
-      the batch evaluator's concurrently running workload queries compute
-      each shared materialization exactly once;
     * ``pools`` — the session-owned
-      :class:`~repro.relational.parallel.PoolManager` whose worker pools are
-      started lazily and shut down by ``Session.close()``.
+      :class:`~repro.relational.parallel.PoolManager` whose morsel thread
+      pools are started lazily and shut down by ``Session.close()``.
 
     All fields are optional; an evaluator constructed without shared state
     builds what it needs per evaluation.  ``database`` pins the
     state to the database it serves: plan-cache keys are database-agnostic
-    canonical fingerprints (and the inflight registry shares live results),
-    so injected state must never leak across databases — a session always
-    sets it, and evaluators ignore the state when evaluated against any
-    other database.  With ``database=None`` (hand-built state) the explicit
-    pin is off, but each component still guards itself: the plan cache is
-    only reused for databases it is attached to
-    (:meth:`~repro.relational.plancache.PlanCache.serves`), the optimizer
-    only for its own database, and the inflight registry only alongside the
-    attached plan cache it deduplicates for.
+    canonical fingerprints, so injected state must never leak across
+    databases — a session always sets it, and evaluators ignore the state
+    when evaluated against any other database.  With ``database=None``
+    (hand-built state) the explicit pin is off, but each component still
+    guards itself: the plan cache is only reused for databases it is
+    attached to (:meth:`~repro.relational.plancache.PlanCache.serves`) and
+    the optimizer only for its own database.
     """
 
     plan_cache: Any = None
     optimizer: Any = None
-    inflight: Any = None
     pools: Any = None
     database: Any = None
     #: optional :class:`~repro.obs.trace.Tracer` recording per-operator span
@@ -128,8 +121,8 @@ class Evaluator(abc.ABC):
     evaluator creates will use: ``"columnar"`` (default), ``"row"`` for the
     tuple-at-a-time interpreter, or ``"parallel"`` for the morsel-driven
     sharded engine (tunable via ``parallel``, a
-    :class:`~repro.relational.parallel.ParallelConfig`; the process-wide
-    default applies when omitted).  Answers are identical on every engine,
+    :class:`~repro.relational.parallel.ParallelConfig`; ``ParallelConfig()``
+    applies when omitted).  Answers are identical on every engine,
     which the differential test harness asserts for every evaluator.
 
     ``optimize`` (default on) runs every source plan through the cost-based
@@ -152,17 +145,9 @@ class Evaluator(abc.ABC):
         shared: SharedState | None = None,
     ):
         self.links = links
-        engines = available_engines()
-        if engine not in engines:
-            # Same wording as the executor, raised at construction instead of
-            # inside the first evaluate().
-            if engine in ENGINES:
-                raise ValueError(
-                    f"engine {engine!r} requires NumPy, which is not installed; "
-                    f"available: {engines} "
-                    "(install the optional extra: pip install repro[vector])"
-                )
-            raise ValueError(f"unknown engine {engine!r}; available: {engines}")
+        # The executor's check, raised at construction instead of inside
+        # the first evaluate().
+        check_engine(engine)
         self.engine = engine
         self.optimize = optimize
         #: optional :class:`~repro.relational.parallel.ParallelConfig` handed
@@ -223,7 +208,7 @@ class Evaluator(abc.ABC):
         """An executor wired with this evaluator's engine/optimizer/parallel config.
 
         ``kwargs`` forward to :class:`~repro.relational.executor.Executor`
-        (``cache=``, ``policy=``, ``inflight=``...); pass ``optimizer=None``
+        (``cache=``, ``policy=``...); pass ``optimizer=None``
         explicitly to skip per-plan optimization (the MQO evaluators optimize
         up front, before their shared-subexpression analysis).  Injected
         session state supplies the worker-pool manager.

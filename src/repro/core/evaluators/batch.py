@@ -14,24 +14,15 @@ reformulated source queries.  :class:`BatchEvaluator` exploits both:
   shared too;
 * **execution is shared** — a single bounded
   :class:`~repro.relational.plancache.PlanCache`, attached to the database's
-  invalidation hooks, serves every query in the workload;
-* **execution is concurrent** — with ``engine="parallel"``, independent
-  queries of the workload run at the same time on a dedicated thread pool
-  (one executor and one stats object per query), while shared
-  materializations selected by the global plan are computed exactly once
-  behind a future (:class:`~repro.relational.parallel.InflightComputations`):
-  the first query to reach a shared sub-plan executes it, every concurrent
-  query waiting on it receives the finished relation and accounts it as a
-  plan-cache hit.
+  invalidation hooks, serves every query in the workload, which runs as one
+  serial loop over one executor.
 
 Answers are identical to running ``e-basic``/``e-MQO`` per query — the batch
 engine is an optimisation, not a new semantics — which the cross-evaluator
-equivalence tests assert within ``PROBABILITY_TOLERANCE``.  Under concurrent
-execution the answers and the workload-total operator counts are unchanged;
-only scheduling-dependent attribution varies: which query a cache hit lands
-on, and the plan-cache snapshot's lookup count (a query served by another
-query's in-flight future records its hit in executor stats without probing
-the cache).
+equivalence tests assert within ``PROBABILITY_TOLERANCE``.  The queries run
+in workload order on every engine, so each query's answers and work counters
+(operators, source queries, plan-cache hits, operators saved) are the same
+on every engine too.
 """
 
 from __future__ import annotations
@@ -130,20 +121,6 @@ class BatchEvaluator(WholeQueryEvaluator):
         )
         self.cache_size = cache_size
 
-    def _parallel_config(self):
-        """The effective :class:`ParallelConfig` (explicit, else process default)."""
-        if self.parallel is not None:
-            return self.parallel
-        from repro.relational.parallel import default_config
-
-        return default_config()
-
-    def _query_workers(self, queries: int) -> int:
-        """Concurrent queries to run (1 unless ``engine="parallel"``)."""
-        if self.engine != "parallel" or queries <= 1:
-            return 1
-        return max(1, min(self._parallel_config().resolved_workers(), queries))
-
     # ------------------------------------------------------------------ #
     def evaluate(
         self,
@@ -195,82 +172,32 @@ class BatchEvaluator(WholeQueryEvaluator):
             batch_stats,
         )
 
-        def evaluate_one(query, key, stats, executor) -> EvaluationResult:
-            answers = self._answers(query, clusters[key], executor, stats)
-            return self._result(
-                query,
-                answers,
-                stats,
-                **self.details(clusters[key], stats),
-                **cache_counters(stats),
-            )
-
-        # Phase 3 — shared execution through one plan cache.  Serial engines
-        # reuse one executor (swapping the per-query stats); the parallel
-        # engine runs the workload's queries concurrently on a dedicated
-        # thread pool, one executor and one stats object per query, with
-        # shared materializations computed once behind a future.  (The
-        # inter-query pool is distinct from the morsel pool the executors
-        # submit operator shards to, so the two levels cannot deadlock.)
-        workers = self._query_workers(len(queries))
+        # Phase 3 — shared execution through one plan cache and one executor
+        # (swapping the per-query stats).
         with self._plan_cache(database, self.cache_size) as cache:
             # Per-call plan-cache reporting even on a long-lived session
             # cache: hits/misses/savings come from this call's own
-            # ExecutionStats (attributed per executor, so concurrent
+            # ExecutionStats (attributed per query, so concurrent
             # query_many calls on one session cannot contaminate each other);
             # only eviction/invalidation counts — which live on the cache
             # alone — use a since-entry delta.
             cache_since = cache.stats.snapshot()
-            if workers > 1:
-                from repro.relational.parallel import InflightComputations
-                from repro.relational.parallel.pool import map_ordered
-
-                # The cross-call inflight registry is only shared alongside
-                # the session cache it deduplicates for: its keys are
-                # database-agnostic fingerprints, so sharing it without the
-                # attached cache could hand one database's materialization
-                # to another's query.
-                shared = self._shared_state(database)
-                if (
-                    shared is not None
-                    and shared.inflight is not None
-                    and self._shared_cache(database) is cache
-                ):
-                    inflight = shared.inflight
-                else:
-                    inflight = InflightComputations()
-
-                def job(index: int) -> EvaluationResult:
-                    executor = self._sharing_executor(
-                        database,
-                        per_query_stats[index],
-                        cache,
-                        global_plan,
-                        inflight=inflight,
+            executor = self._sharing_executor(
+                database, ExecutionStats(), cache, global_plan
+            )
+            results = []
+            for query, key, stats in zip(queries, keys, per_query_stats):
+                executor.stats = stats
+                answers = self._answers(query, clusters[key], executor, stats)
+                results.append(
+                    self._result(
+                        query,
+                        answers,
+                        stats,
+                        **self.details(clusters[key], stats),
+                        **cache_counters(stats),
                     )
-                    return evaluate_one(
-                        queries[index], keys[index], per_query_stats[index], executor
-                    )
-
-                pools = shared.pools if shared is not None else None
-                pool_cap = workers
-                if pools is not None:
-                    # Key the long-lived inter-query pool at the config's
-                    # full worker count, not at min(workers, len(queries)):
-                    # workloads of varying size then share ONE pool per
-                    # session instead of accumulating one idle pool per
-                    # distinct size (threads grow lazily, so a wide pool
-                    # serving few queries costs nothing).
-                    pool_cap = self._parallel_config().resolved_workers()
-                results = map_ordered(pool_cap, job, range(len(queries)), pools=pools)
-            else:
-                executor = self._sharing_executor(
-                    database, ExecutionStats(), cache, global_plan
                 )
-                results = []
-                for query, key, stats in zip(queries, keys, per_query_stats):
-                    executor.stats = stats
-                    results.append(evaluate_one(query, key, stats, executor))
             evictions = cache.stats.evictions - cache_since["evictions"]
             invalidations = cache.stats.invalidations - cache_since["invalidations"]
         for result in results:
@@ -284,8 +211,6 @@ class BatchEvaluator(WholeQueryEvaluator):
             "engine": self.engine,
             "optimize": self.optimize,
         }
-        if workers > 1:
-            details["query_workers"] = workers
         lookups = batch_stats.plan_cache_hits + batch_stats.plan_cache_misses
         plan_cache = {
             "hits": batch_stats.plan_cache_hits,

@@ -334,7 +334,6 @@ class WholeQueryEvaluator(Evaluator):
         stats: ExecutionStats,
         cache: PlanCache,
         global_plan: GlobalPlan,
-        **kwargs: Any,
     ):
         """An executor materialising what ``global_plan`` selected (plans are pre-optimized)."""
         return self._executor(
@@ -343,7 +342,6 @@ class WholeQueryEvaluator(Evaluator):
             cache=cache,
             policy=global_plan.materialization_policy(),
             optimizer=None,
-            **kwargs,
         )
 
     @staticmethod

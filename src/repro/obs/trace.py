@@ -14,9 +14,7 @@ point-in-time events.  The design constraints, in order:
 2. **Thread propagation** — each thread keeps its own span stack; worker
    threads adopt the submitting thread's current span via :meth:`Tracer.attach`
    (:func:`repro.relational.parallel.run_tasks` wires this), so morsel-level
-   events nest under the operator span that scheduled them.  Process-pool
-   tasks cannot carry a live tracer across the boundary; the scheduling side
-   records the fan-out (kernel, morsels, workers, pool kind) instead.
+   events nest under the operator span that scheduled them.
 3. **Bounded memory** — finished root spans land in a ``deque(maxlen=...)``;
    an unbounded serving loop cannot grow the trace without bound.
 

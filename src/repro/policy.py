@@ -128,7 +128,8 @@ class ExecutionPolicy:
         o-sharing's empty-intermediate shortcut (disable only for ablations).
     parallel:
         Optional :class:`~repro.relational.parallel.ParallelConfig` tuning
-        the parallel engine; the process-wide default applies when ``None``.
+        the parallel engine (worker count, sharding threshold);
+        ``ParallelConfig()`` applies when ``None``.
     cache_size:
         Bound of the session-owned plan cache (entries, LRU-evicted); also
         the batch evaluator's cache bound outside a session.

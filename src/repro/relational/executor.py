@@ -11,18 +11,18 @@ switch selects between the original tuple-at-a-time interpreter (``"row"``),
 a columnar batch engine (``"columnar"``, the default) that evaluates
 operators column-wise over :class:`~repro.relational.columnar.ColumnBatch`
 instances with predicates compiled once per operator, a parallel sharded
-engine (``"parallel"``) that runs the columnar operators morsel-wise over a
-worker pool (:mod:`repro.relational.parallel`) and falls back *per node* to
-the serial columnar code whenever an input is too small to shard, and a
-NumPy-vectorized engine (``"vector"``, requires the optional NumPy extra)
-that replaces the columnar sweeps with dtype-specialized array kernels
-(:mod:`repro.relational.vector`) and falls back *per node* to the serial
-columnar code for columns without a clean dtype.  All engines produce
+engine (``"parallel"``) that runs the columnar operators in contiguous
+morsels on a thread pool (:mod:`repro.relational.parallel`) and falls back
+*per node* to the serial columnar code whenever an input is too small to
+shard, and a NumPy-vectorized engine (``"vector"``, requires the optional
+NumPy extra) that replaces the columnar sweeps with dtype-specialized array
+kernels (:mod:`repro.relational.vector`) and falls back *per node* to the
+serial columnar code for columns without a clean dtype.  All engines produce
 identical relations, identical :class:`ExecutionStats` counters and share
 the hash-index fast path, the plan cache and the materialization policies;
 the columnar engine is simply faster (see
-``benchmarks/bench_engine_columnar.py``), the parallel engine scales the
-columnar sweeps with cores (``benchmarks/bench_engine_parallel.py``) and
+``benchmarks/bench_engine_columnar.py``), the parallel engine shards the
+columnar sweeps across cores (``benchmarks/bench_engine_parallel.py``) and
 the vector engine replaces them with C-speed array kernels
 (``benchmarks/bench_engine_vector.py``).
 
@@ -111,6 +111,25 @@ def available_engines() -> tuple[str, ...]:
     return tuple(engine for engine in ENGINES if engine != "vector")
 
 
+def check_engine(engine: str) -> None:
+    """Raise ``ValueError`` unless ``engine`` is usable in this environment.
+
+    The one engine check every constructor runs (executors and evaluators),
+    so an unknown name and a missing NumPy fail with the same message at
+    every boundary.
+    """
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; available: {available_engines()}"
+        )
+    if engine == "vector" and not numpy_available():
+        raise ValueError(
+            "engine 'vector' requires NumPy, which is not installed; "
+            f"available: {available_engines()} "
+            "(install the optional extra: pip install repro[vector])"
+        )
+
+
 class Executor:
     """Evaluates relational-algebra plans against a database.
 
@@ -124,21 +143,15 @@ class Executor:
 
     ``engine`` selects the operator implementations: ``"columnar"`` (default)
     evaluates whole batches column-wise, ``"row"`` interprets tuple-at-a-time,
-    ``"parallel"`` runs the columnar operators morsel-wise over a worker
+    ``"parallel"`` runs the columnar operators morsel-wise over a thread
     pool (tuned by ``parallel``, a
-    :class:`~repro.relational.parallel.ParallelConfig`; the process-wide
-    default applies when omitted) and falls back per node to the serial
-    columnar code for inputs below the sharding threshold, and ``"vector"``
-    (requires NumPy) runs dtype-specialized array kernels and falls back per
-    node for columns the kernels cannot represent exactly.  A plan node the
-    columnar engine has no implementation for falls back to the row
-    implementation transparently.
-
-    ``inflight`` (used by the batch evaluator's inter-query parallelism)
-    is a :class:`~repro.relational.parallel.InflightComputations` registry:
-    when several concurrent executors share one plan cache, a shared
-    materialization is computed by exactly one of them while the others wait
-    on its future.
+    :class:`~repro.relational.parallel.ParallelConfig`; ``ParallelConfig()``
+    applies when omitted) and falls back per node to the serial columnar
+    code for inputs below the sharding threshold, and ``"vector"`` (requires
+    NumPy) runs dtype-specialized array kernels and falls back per node for
+    columns the kernels cannot represent exactly.  A plan node the columnar
+    engine has no implementation for falls back to the row implementation
+    transparently.
     """
 
     def __init__(
@@ -150,7 +163,6 @@ class Executor:
         engine: str = DEFAULT_ENGINE,
         optimizer=None,
         parallel=None,
-        inflight=None,
         pools=None,
         tracer=None,
     ):
@@ -160,16 +172,7 @@ class Executor:
         if policy is None and cache is not None:
             policy = MaterializeAll()
         self.policy = policy
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; available: {available_engines()}"
-            )
-        if engine == "vector" and not numpy_available():
-            raise ValueError(
-                "engine 'vector' requires NumPy, which is not installed; "
-                f"available: {available_engines()} "
-                "(install the optional extra: pip install repro[vector])"
-            )
+        check_engine(engine)
         self.engine = engine
         #: True on the vector engine: operators try the NumPy kernels in
         #: :mod:`repro.relational.vector` first and fall back per node.
@@ -181,12 +184,10 @@ class Executor:
         #: :class:`~repro.relational.parallel.ParallelConfig` driving the
         #: morsel operators; ``None`` on the serial engines.
         if engine == "parallel" and parallel is None:
-            from repro.relational.parallel import default_config
+            from repro.relational.parallel import ParallelConfig
 
-            parallel = default_config()
+            parallel = ParallelConfig()
         self.parallel = parallel if engine == "parallel" else None
-        #: compute-once registry shared with concurrent executors (see above).
-        self.inflight = inflight
         #: optional :class:`~repro.relational.parallel.PoolManager` owning the
         #: worker pools the morsel kernels run on (a session's, usually); the
         #: process-wide default serves executors without one.
@@ -653,8 +654,6 @@ class Executor:
         key = self.policy.cache_key(node)
         if key is None:
             return self._dispatch_columnar(node)
-        if self.inflight is not None:
-            return self._compute_once(key, node)
         entry = self.cache.get(key, self.database)
         if entry is not None:
             self.stats.count_cache_hit(entry.operator_count)
@@ -668,55 +667,6 @@ class Executor:
             key, node, result.to_relation(), self.database, versions=self._version_pins
         )
         return result
-
-    def _compute_once(self, key: str, node: PlanNode) -> ColumnBatch:
-        """Compute a shared materialization exactly once across executors.
-
-        The first executor to claim ``key`` probes the shared plan cache
-        (one counting probe, like serial), executes the sub-plan on a miss,
-        stores it, and publishes ``(relation, operator_count)`` on the
-        claim's future; concurrent executors that lose the claim wait on the
-        future *without touching the cache* and account the result as a
-        plan-cache hit in their executor-level stats — so a shared sub-plan
-        can never execute twice and the cache's own hit/miss counters are
-        never double-counted (waiters served by a future simply don't appear
-        in the cache snapshot's lookups).
-        """
-        future, owner = self.inflight.claim(key)
-        if not owner:
-            relation, operator_count, versions = future.result()
-            self.stats.count_cache_hit(operator_count)
-            self._trace_cache("hit", operators_saved=operator_count, inflight=True)
-            self._merge_version_pins(versions)
-            return ColumnBatch.from_relation(relation)
-        try:
-            entry = self.cache.get(key, self.database)
-            if entry is not None:
-                self.stats.count_cache_hit(entry.operator_count)
-                self._trace_cache("hit", operators_saved=entry.operator_count)
-                self._merge_version_pins(entry.dependency_versions)
-                self.inflight.resolve(
-                    key,
-                    future,
-                    (entry.relation, entry.operator_count, dict(entry.dependency_versions)),
-                )
-                return ColumnBatch.from_relation(entry.relation)
-            self.stats.count_cache_miss()
-            self._trace_cache("miss")
-            result = self._dispatch_columnar(node)
-            relation = result.to_relation()
-            entry = self.cache.put(
-                key, node, relation, self.database, versions=self._version_pins
-            )
-            self.inflight.resolve(
-                key,
-                future,
-                (relation, entry.operator_count, dict(entry.dependency_versions)),
-            )
-            return result
-        except BaseException as error:
-            self.inflight.fail(key, future, error)
-            raise
 
     def _dispatch_columnar(self, node: PlanNode) -> ColumnBatch:
         tracer = self.tracer
@@ -757,19 +707,19 @@ class Executor:
         return ColumnBatch.from_relation(relation)
 
     # -- parallel hooks ---------------------------------------------------- #
-    def _use_parallel(self, batch: ColumnBatch) -> bool:
-        """True when ``batch`` is large enough for the parallel engine to shard.
+    def _use_parallel(self, rows: int) -> bool:
+        """True when an input of ``rows`` rows is large enough to shard.
 
         Always False on the serial engines (``self.parallel`` is ``None``);
         on the parallel engine a too-small input makes the operator fall back
         to the serial columnar implementation — per node, so one plan can mix
         sharded and serial operators freely.
         """
-        return self.parallel is not None and self.parallel.shards_for(len(batch)) > 1
+        return self.parallel is not None and self.parallel.shards_for(rows) > 1
 
     def _predicate_mask(self, predicate: Predicate, batch: ColumnBatch) -> list[bool]:
         """Row mask for ``predicate``, morsel-parallel when worthwhile."""
-        if self._use_parallel(batch):
+        if self._use_parallel(len(batch)):
             from repro.relational.parallel import parallel_predicate_mask
 
             return parallel_predicate_mask(
@@ -858,7 +808,7 @@ class Executor:
                 if self.vector and data
                 else None
             )
-            if keep is None and data and self._use_parallel(child):
+            if keep is None and data and self._use_parallel(length):
                 from repro.relational.parallel import parallel_distinct_indices
 
                 keep = parallel_distinct_indices(
@@ -925,7 +875,7 @@ class Executor:
             # None/NaN keys cannot occur on classified columns, so pure_equi
             # changes nothing here (the residual pass is still skipped).
             left_idx, right_idx = vectorized
-        elif pairs and (self._use_parallel(left) or self._use_parallel(right)):
+        elif pairs and (self._use_parallel(len(left)) or self._use_parallel(len(right))):
             # Morsel-parallel build + probe (identical index order — see
             # repro.relational.parallel.operators.parallel_join_indices).
             from repro.relational.parallel import parallel_join_indices
@@ -1007,9 +957,7 @@ class Executor:
                 keep = (
                     vector_union_distinct_indices(left, right) if self.vector else None
                 )
-                if keep is None and (
-                    self.parallel is not None and self.parallel.shards_for(length) > 1
-                ):
+                if keep is None and self._use_parallel(length):
                     from repro.relational.parallel import parallel_distinct_indices
 
                     keep = parallel_distinct_indices(
@@ -1057,7 +1005,7 @@ class Executor:
             if self.vector
             else None
         )
-        parallel = groups is None and self._use_parallel(child)
+        parallel = groups is None and self._use_parallel(n)
         if parallel:
             from repro.relational.parallel import (
                 parallel_fold_groups,

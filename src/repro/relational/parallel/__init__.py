@@ -2,17 +2,15 @@
 
 The package adds intra-operator parallelism to the columnar batch engine:
 
-* :mod:`~repro.relational.parallel.partition` — horizontal sharding of
-  relations/batches (contiguous morsels, round-robin, hash co-partitioning)
+* :mod:`~repro.relational.parallel.partition` — contiguous-morsel sharding
   with a version-keyed shard cache on base relations;
-* :mod:`~repro.relational.parallel.pool` — shared thread/process worker
-  pools (threaded fallback when pickling loses) and the compute-once
-  registry behind inter-query sharing;
+* :mod:`~repro.relational.parallel.pool` — shared, lazily-started thread
+  pools owned by a :class:`PoolManager`;
 * :mod:`~repro.relational.parallel.operators` — morsel-driven select /
   hash-join / aggregate / distinct kernels that are byte-identical to the
   serial columnar operators by construction;
 * :mod:`~repro.relational.parallel.config` — the :class:`ParallelConfig`
-  knobs and the process-wide default the executor picks up.
+  knobs (worker count, sharding threshold).
 
 The engine switch itself lives on
 :class:`~repro.relational.executor.Executor`: ``engine="parallel"`` runs the
@@ -22,13 +20,7 @@ columnar code below that bound — answers are byte-identical in every mix,
 which the differential harness asserts.
 """
 
-from repro.relational.parallel.config import (
-    ParallelConfig,
-    available_cpus,
-    configure,
-    default_config,
-    set_default_config,
-)
+from repro.relational.parallel.config import ParallelConfig, available_cpus
 from repro.relational.parallel.operators import (
     parallel_distinct_indices,
     parallel_fold_groups,
@@ -36,21 +28,10 @@ from repro.relational.parallel.operators import (
     parallel_join_indices,
     parallel_predicate_mask,
 )
-from repro.relational.parallel.partition import (
-    PARTITION_MODES,
-    ShardSet,
-    cached_chunk_columns,
-    chunk_spans,
-    hash_partition_indices,
-    round_robin_indices,
-    shard_batch,
-    shard_relation,
-)
+from repro.relational.parallel.partition import cached_chunk_columns, chunk_spans
 from repro.relational.parallel.pool import (
-    ROLE_INTERQUERY,
     ROLE_MORSEL,
     ROLE_SERVING,
-    InflightComputations,
     PoolManager,
     default_manager,
     run_tasks,
@@ -60,25 +41,14 @@ from repro.relational.parallel.pool import (
 __all__ = [
     "ParallelConfig",
     "available_cpus",
-    "configure",
-    "default_config",
-    "set_default_config",
     "parallel_distinct_indices",
     "parallel_fold_groups",
     "parallel_group_indices",
     "parallel_join_indices",
     "parallel_predicate_mask",
-    "PARTITION_MODES",
-    "ShardSet",
     "cached_chunk_columns",
     "chunk_spans",
-    "hash_partition_indices",
-    "round_robin_indices",
-    "shard_batch",
-    "shard_relation",
-    "InflightComputations",
     "PoolManager",
-    "ROLE_INTERQUERY",
     "ROLE_MORSEL",
     "ROLE_SERVING",
     "default_manager",

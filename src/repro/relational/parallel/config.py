@@ -1,27 +1,15 @@
 """Configuration of the parallel sharded execution engine.
 
 A :class:`ParallelConfig` tells the executor *how much* parallelism to use
-(worker count), *what kind* (threads or processes) and *when* it is worth it
-(the minimum shard size below which an operator falls back to the serial
-columnar implementation).  The module keeps one process-wide default that
-:class:`~repro.relational.executor.Executor` picks up whenever
-``engine="parallel"`` is requested without an explicit config; tests and
-benchmarks override it with :func:`configure`.
-
-Environment variables provide deployment-time overrides without touching
-code: ``REPRO_PARALLEL_WORKERS``, ``REPRO_PARALLEL_KIND`` (``thread`` |
-``process``) and ``REPRO_PARALLEL_MIN_ROWS``.
+(worker count) and *when* it is worth it (the minimum shard size below which
+an operator falls back to the serial columnar implementation).  An executor
+built with ``engine="parallel"`` and no config uses ``ParallelConfig()``.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Iterator
-
-#: The worker-pool kinds the engine knows how to drive.
-POOL_KINDS = ("thread", "process")
+from dataclasses import dataclass
 
 
 def available_cpus() -> int:
@@ -39,25 +27,17 @@ class ParallelConfig:
     Attributes
     ----------
     workers:
-        Worker count; ``0`` (the default) resolves to
-        ``REPRO_PARALLEL_WORKERS`` or the number of available CPUs.
-    kind:
-        ``"thread"`` (default) runs morsels on a shared thread pool —
-        zero serialization cost, safe everywhere.  ``"process"`` ships
-        CPU-bound predicate sweeps to a process pool (sidestepping the GIL)
-        and falls back to threads per-task when an argument does not pickle.
+        Thread-pool worker count; ``0`` (the default) resolves to the number
+        of available CPUs.
     min_partition_rows:
         Smallest shard worth dispatching; an operator whose input is
         shorter than two shards of this size runs the serial columnar code.
     """
 
     workers: int = 0
-    kind: str = "thread"
     min_partition_rows: int = 2048
 
     def __post_init__(self) -> None:
-        if self.kind not in POOL_KINDS:
-            raise ValueError(f"unknown pool kind {self.kind!r}; available: {POOL_KINDS}")
         if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 = autodetect)")
         if self.min_partition_rows < 0:
@@ -65,18 +45,8 @@ class ParallelConfig:
 
     # ------------------------------------------------------------------ #
     def resolved_workers(self) -> int:
-        """The effective worker count (explicit > env > available CPUs)."""
-        if self.workers:
-            return self.workers
-        env = os.environ.get("REPRO_PARALLEL_WORKERS")
-        if env:
-            try:
-                workers = int(env)
-                if workers > 0:
-                    return workers
-            except ValueError:
-                pass
-        return available_cpus()
+        """The effective worker count (explicit, else available CPUs)."""
+        return self.workers or available_cpus()
 
     def shards_for(self, rows: int) -> int:
         """How many shards an input of ``rows`` rows should be cut into.
@@ -93,48 +63,3 @@ class ParallelConfig:
         if not self.min_partition_rows:
             return min(workers, max(rows, 1))
         return max(1, min(workers, rows // self.min_partition_rows))
-
-
-def _config_from_env() -> ParallelConfig:
-    kind = os.environ.get("REPRO_PARALLEL_KIND", "thread")
-    if kind not in POOL_KINDS:
-        kind = "thread"
-    try:
-        min_rows = int(os.environ.get("REPRO_PARALLEL_MIN_ROWS", "2048"))
-    except ValueError:
-        min_rows = 2048
-    return ParallelConfig(kind=kind, min_partition_rows=max(0, min_rows))
-
-
-_DEFAULT: ParallelConfig = _config_from_env()
-
-
-def default_config() -> ParallelConfig:
-    """The process-wide config used when ``engine="parallel"`` has no explicit one."""
-    return _DEFAULT
-
-
-def set_default_config(config: ParallelConfig) -> ParallelConfig:
-    """Replace the process-wide default; returns the previous one."""
-    global _DEFAULT
-    previous = _DEFAULT
-    _DEFAULT = config
-    return previous
-
-
-@contextmanager
-def configure(config: ParallelConfig | None = None, **changes) -> Iterator[ParallelConfig]:
-    """Temporarily override the process-wide default config.
-
-    Either pass a full :class:`ParallelConfig` or keyword field changes
-    applied on top of the current default::
-
-        with configure(workers=4, min_partition_rows=0):
-            evaluate(..., engine="parallel")
-    """
-    new = config if config is not None else replace(_DEFAULT, **changes)
-    previous = set_default_config(new)
-    try:
-        yield new
-    finally:
-        set_default_config(previous)

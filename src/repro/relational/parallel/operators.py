@@ -33,7 +33,7 @@ from repro.relational.vector import vector_predicate_mask
 def _mask_morsel(
     predicate: Predicate, labels: tuple, data: list[list], length: int
 ) -> list[bool]:
-    """One morsel's mask (module-level so process pools can pickle the task).
+    """One morsel's mask.
 
     When NumPy is importable the morsel tries the vector kernel first — the
     mask is plain Python bools either way, so the parallel engine's results
@@ -50,7 +50,7 @@ def _mask_morsel(
 def _referenced_restriction(
     predicate: Predicate, batch: ColumnBatch
 ) -> tuple[tuple, list[int]] | None:
-    """Only the columns the predicate touches (cuts slicing and pickling cost).
+    """Only the columns the predicate touches (cuts slicing cost).
 
     Resolution against the restricted label subset cannot drift from the full
     batch: qualified/exact references keep their label, and an unqualified
@@ -114,9 +114,7 @@ def parallel_predicate_mask(
         ]
     if tracer is not None:
         tracer.event("kernel", kernel="predicate_mask", morsels=len(tasks), rows=n)
-    masks = run_tasks(
-        config, _mask_morsel, tasks, picklable=True, pools=pools, tracer=tracer
-    )
+    masks = run_tasks(config, _mask_morsel, tasks, pools=pools, tracer=tracer)
     return list(chain.from_iterable(masks))
 
 
@@ -195,9 +193,8 @@ def parallel_join_indices(
     indices; merging them in span order keeps every bucket's index list
     ascending — the order the serial build produces.  Probe side (left)
     morsels then scan the shared merged buckets; concatenating their outputs
-    in span order is exactly the serial probe order.  Bucket dicts are shared
-    memory, so both phases run on the thread pool regardless of
-    ``config.kind``.
+    in span order is exactly the serial probe order.  Both phases share the
+    bucket dicts across the pool's threads.
     """
     single = len(pairs) == 1
     if single:

@@ -184,7 +184,7 @@ class Relation:
         self._column_cache: list = [None]
         # Shared one-slot holder for horizontal shards of the column data,
         # keyed on the version token exactly like the column-major cache (see
-        # repro.relational.parallel.partition.shard_relation).
+        # repro.relational.parallel.partition.cached_chunk_columns).
         self._shard_cache: list = [None]
         # Shared one-slot holder for the vector engine's classified NumPy
         # columns, keyed on the version token (see repro.relational.vector).

@@ -11,9 +11,6 @@ pair owning all cross-query state:
   dependent entries — the session can never serve stale results);
 * one :class:`~repro.relational.optimizer.Optimizer` whose
   canonical-fingerprint memo and statistics catalog persist across calls;
-* one :class:`~repro.relational.parallel.InflightComputations` compute-once
-  registry, so shared materializations are computed exactly once across the
-  concurrently running queries of ``query_many`` workloads;
 * a lazily-started, session-owned
   :class:`~repro.relational.parallel.PoolManager` (``close()`` shuts the
   pools down; nothing starts until the parallel engine first needs a worker).
@@ -197,7 +194,7 @@ class Session:
     ):
         policy = _validated_policy(policy)
         from repro.relational.optimizer import Optimizer
-        from repro.relational.parallel import InflightComputations, PoolManager
+        from repro.relational.parallel import PoolManager
 
         self.database = database
         self.mappings = mappings
@@ -208,8 +205,6 @@ class Session:
         self.plan_cache.attach(database)
         #: the session optimizer: fingerprint memo + statistics catalog
         self.optimizer = Optimizer(database)
-        #: compute-once registry shared by concurrent calls
-        self.inflight = InflightComputations()
         #: worker pools (session-owned and lazily started unless injected)
         self._owns_pools = pools is None
         self.pools = PoolManager() if pools is None else pools
@@ -237,7 +232,6 @@ class Session:
         self._shared = SharedState(
             plan_cache=self.plan_cache,
             optimizer=self.optimizer,
-            inflight=self.inflight,
             pools=self.pools,
             database=database,
             tracer=self.tracer,

@@ -87,25 +87,6 @@ class TestRunners:
         point = run_method("e-basic", query, excel_scenario, engine="row")
         assert point.details["engine"] == "row"
 
-    def test_run_parallel_scaling_adds_worker_dimension(self, excel_scenario):
-        from repro.bench.harness import run_parallel_scaling
-
-        query = paper_query("Q1", excel_scenario.target_schema)
-        points = run_parallel_scaling(
-            ["e-basic"], [1, 2], query, excel_scenario, x=1, min_partition_rows=0
-        )
-        assert [point.method for point in points] == [
-            "e-basic@parallel[1]",
-            "e-basic@parallel[2]",
-        ]
-        assert [point.details["workers"] for point in points] == [1, 2]
-        # workers=1 is the serial-columnar baseline; workers=2 must do the
-        # same work and return the same answers.
-        assert points[0].details["engine"] == "columnar"
-        assert points[1].details["engine"] == "parallel"
-        assert points[0].source_operators == points[1].source_operators
-        assert points[0].answers == points[1].answers
-
     def test_point_from_result_uses_phase_time_by_default(self, excel_scenario):
         from repro import connect
 

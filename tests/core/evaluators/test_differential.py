@@ -310,8 +310,12 @@ def test_parallel_engine_byte_identical_across_shard_counts(method, workers):
     assert result.stats.rows_scanned == reference.stats.rows_scanned
 
 
+#: the per-query work counters ``query_many`` must reproduce on every engine
+_PER_QUERY_WORK = ("source_operators", "plan_cache_hits", "operators_saved", "source_queries")
+
+
 def test_parallel_batch_workload_matches_serial():
-    """Inter-query parallelism: same answers, same workload-total work."""
+    """Forced sharding in ``query_many``: same answers and work, query by query."""
     from repro.relational.parallel import ParallelConfig
 
     scenario = _scenario("Excel")
@@ -319,25 +323,43 @@ def test_parallel_batch_workload_matches_serial():
         paper_query(query_id, scenario.target_schema)
         for query_id in (_QUERY_IDS["Excel"] + _QUERY_IDS["Excel"])[:6]
     ]
-    serial = _cold_query_many(queries, scenario)
-    concurrent = _cold_query_many(
+    serial = _cold_query_many(queries, scenario, engine="columnar")
+    sharded = _cold_query_many(
         queries,
         scenario,
         engine="parallel",
         parallel=ParallelConfig(workers=4, min_partition_rows=0),
     )
-    assert concurrent.details["query_workers"] == 4
-    for serial_result, parallel_result in zip(serial.results, concurrent.results):
-        assert _answer_map(parallel_result) == _answer_map(serial_result)
-        assert (
-            parallel_result.answers.empty_probability
-            == serial_result.answers.empty_probability
-        )
-    # Shared materializations are computed exactly once: the workload-total
-    # operator count matches the serial batch run (only the per-query
-    # attribution of cache hits may vary with scheduling).
-    assert concurrent.stats.source_operators == serial.stats.source_operators
-    assert concurrent.stats.source_queries == serial.stats.source_queries
+    assert len(sharded.results) == len(serial.results) == len(queries)
+    for index, (serial_result, parallel_result) in enumerate(
+        zip(serial.results, sharded.results)
+    ):
+        assert _exact_bytes(parallel_result) == _exact_bytes(serial_result), index
+        for counter in _PER_QUERY_WORK:
+            assert getattr(parallel_result.stats, counter) == getattr(
+                serial_result.stats, counter
+            ), (index, counter)
+    assert sharded.plan_cache == serial.plan_cache
+
+
+@pytest.mark.parametrize("optimize", (True, False))
+@pytest.mark.parametrize("engine", ENGINES)
+def test_query_many_is_deterministic_per_query(engine, optimize):
+    """ARCHITECTURE invariant 7: every run, every engine, the same per-query work."""
+    scenario = _scenario("Excel")
+    queries = [paper_query(query_id, scenario.target_schema) for query_id in _QUERY_IDS["Excel"]]
+    workload = queries + queries[:2]
+    reference = _cold_query_many(workload, scenario, engine="columnar", optimize=optimize)
+    runs = [
+        _cold_query_many(workload, scenario, engine=engine, optimize=optimize)
+        for _ in range(2)
+    ]
+    for run in runs:
+        for index, (result, expected) in enumerate(zip(run.results, reference.results)):
+            assert _exact_bytes(result) == _exact_bytes(expected), index
+            assert [getattr(result.stats, name) for name in _PER_QUERY_WORK] == [
+                getattr(expected.stats, name) for name in _PER_QUERY_WORK
+            ], index
 
 
 @pytest.mark.parametrize("method", ALL_EVALUATORS)

@@ -1,10 +1,9 @@
 """The parallel engine is byte-identical to the serial columnar engine.
 
 Covers the morsel kernels directly (masks, join indices, grouping, dedup),
-the executor's per-node fallback, the process-pool pickling fallback, and
-the compute-once registry behind the batch evaluator's inter-query
-parallelism.  Thresholds are forced to zero so the parallel paths execute
-even on small test data.
+the executor's per-node fallback, and the thread pools the morsels run on
+(``run_tasks``, ``PoolManager``).  Thresholds are forced to zero so the
+parallel paths execute even on small test data.
 """
 
 from __future__ import annotations
@@ -27,8 +26,10 @@ from repro.relational.database import Database
 from repro.relational.executor import Executor
 from repro.relational.expressions import col, lit
 from repro.relational.parallel import (
-    InflightComputations,
+    ROLE_MORSEL,
+    ROLE_SERVING,
     ParallelConfig,
+    PoolManager,
     parallel_distinct_indices,
     parallel_group_indices,
     parallel_join_indices,
@@ -45,7 +46,6 @@ from repro.relational.predicates import (
     In,
     Not,
     Or,
-    Predicate,
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import DatabaseSchema, RelationSchema
@@ -166,9 +166,7 @@ class TestEngineParity:
         serial = Executor(database, engine="columnar").execute(plan)
         assert executor.execute(plan).rows == serial.rows
         # Nothing is large enough to shard: every node took the serial path.
-        assert not executor._use_parallel(
-            ColumnBatch.from_relation(database.relation("emp"))
-        )
+        assert not executor._use_parallel(len(database.relation("emp")))
 
     def test_select_over_scan_uses_the_shard_cache(self, database):
         """Base-relation sweeps shard through the version-keyed shard cache."""
@@ -182,7 +180,7 @@ class TestEngineParity:
         executor.execute(PLANS["select-chain"]())
         cached = relation._shard_cache[0]
         assert cached is not None and cached[0] == relation.version
-        chunked = cached[1]["chunk-columns"]
+        chunked = cached[1]
         assert chunked["shards"] == 4
         # Only the select sitting directly on the scan sweeps the base
         # relation, and only its referenced column was sliced (id = 0).
@@ -191,7 +189,7 @@ class TestEngineParity:
         # and adds only the newly referenced column (name = 1).
         entry_before = chunked["columns"][0]
         executor.execute(PLANS["select-mixed-coercion"]())
-        chunked = relation._shard_cache[0][1]["chunk-columns"]
+        chunked = relation._shard_cache[0][1]
         assert chunked["columns"][0] is entry_before
         assert 1 in chunked["columns"]
         # A different shard count replaces the cached slices instead of
@@ -202,18 +200,13 @@ class TestEngineParity:
             parallel=ParallelConfig(workers=2, min_partition_rows=0),
         )
         other.execute(PLANS["select-chain"]())
-        chunked = relation._shard_cache[0][1]["chunk-columns"]
+        chunked = relation._shard_cache[0][1]
         assert chunked["shards"] == 2 and len(chunked["spans"]) == 2
 
-    def test_process_pool_matches(self, database):
-        plan = PLANS["select-chain"]()
-        serial = Executor(database, engine="columnar").execute(plan)
-        process = Executor(
-            database,
-            engine="parallel",
-            parallel=ParallelConfig(workers=2, kind="process", min_partition_rows=0),
-        ).execute(plan)
-        assert process.rows == serial.rows
+    def test_missing_config_means_the_default_config(self, database):
+        executor = Executor(database, engine="parallel")
+        assert executor.parallel == ParallelConfig()
+        assert Executor(database, engine="columnar", parallel=FORCED).parallel is None
 
 
 class TestKernels:
@@ -230,25 +223,6 @@ class TestKernels:
             assert parallel_predicate_mask(predicate, batch, FORCED) == predicate_mask(
                 predicate, batch
             ), predicate.canonical()
-
-    def test_unpicklable_predicate_falls_back_to_threads(self, database):
-        class Always(Predicate):  # local class: cannot pickle
-            def evaluate(self, relation, row):
-                return True
-
-            def referenced_columns(self):
-                return []
-
-            def rename(self, rename_ref):
-                return self
-
-            def canonical(self):
-                return "ALWAYS"
-
-        batch = ColumnBatch.from_relation(database.relation("emp"))
-        config = ParallelConfig(workers=2, kind="process", min_partition_rows=0)
-        mask = parallel_predicate_mask(Always(), batch, config)
-        assert mask == [True] * len(batch)
 
     @pytest.mark.parametrize("pure_equi", [True, False])
     def test_join_indices_match_serial(self, database, pure_equi):
@@ -299,96 +273,69 @@ class TestKernels:
         assert run_tasks(config, lambda x: x * 2, [(1,), (2,), (3,)]) == [2, 4, 6]
 
 
-class TestInflight:
-    def test_single_owner_and_waiters(self):
-        registry = InflightComputations()
-        future, owner = registry.claim("k")
-        assert owner
-        future2, owner2 = registry.claim("k")
-        assert not owner2 and future2 is future
-        registry.resolve("k", future, ("result", 3))
-        assert future2.result() == ("result", 3)
-        # retired: the next claim starts a fresh computation
-        _, owner3 = registry.claim("k")
-        assert owner3
-
-    def test_failure_propagates_to_waiters(self):
-        registry = InflightComputations()
-        future, _ = registry.claim("k")
-        waiter, _ = registry.claim("k")
-        registry.fail("k", future, ValueError("boom"))
-        with pytest.raises(ValueError, match="boom"):
-            waiter.result()
-
-    def test_executor_waiter_accounts_cache_hit(self, database):
-        from repro.relational.plancache import MaterializeAll, PlanCache
-
-        plan = PLANS["join"]()
-        cache = PlanCache()
-        registry = InflightComputations()
-        owner_stats, waiter_stats = ExecutionStats(), ExecutionStats()
-        owner = Executor(
-            database,
-            owner_stats,
-            cache=cache,
-            policy=MaterializeAll(),
-            engine="parallel",
-            parallel=FORCED,
-            inflight=registry,
-        )
-        result = owner.execute(plan)
-        # Fresh cache for the waiter so the in-flight future is its only
-        # source; pre-resolve the claim as a finished computation.
-        future, is_owner = registry.claim(plan.canonical())
-        assert is_owner
-        registry.resolve(plan.canonical(), future, (result, 3))
-        waiter = Executor(
-            database,
-            waiter_stats,
-            cache=PlanCache(),
-            policy=MaterializeAll(),
-            engine="parallel",
-            parallel=FORCED,
-            inflight=registry,
-        )
-        # Claim was retired on resolve, so this computes normally...
-        assert waiter.execute(plan).rows == result.rows
-
-
-class TestMapOrderedErrorSemantics:
-    def test_error_waits_out_siblings_on_a_long_lived_pool(self):
-        """One failing job must not leave orphan siblings running.
-
-        On a session-owned (long-lived) pool the call must drain every
-        sibling task before re-raising — otherwise Session.close()'s drain
-        guarantee could shut the pools down under a still-running job.
-        """
-        import time
-
-        import pytest
-
-        from repro.relational.parallel import PoolManager
-        from repro.relational.parallel.pool import map_ordered
-
+class TestRunTasks:
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_results_in_submission_order(self, workers):
         pools = PoolManager()
-        started = []
-        finished = []
+        try:
+            config = ParallelConfig(workers=workers)
+            args = [(i,) for i in range(23)]
+            assert run_tasks(config, lambda x: x * x, args, pools=pools) == [
+                i * i for i in range(23)
+            ]
+            assert pools.started_pools == 1
+        finally:
+            pools.shutdown(wait=True)
 
-        def job(i):
-            if i == 0:
+    def test_task_error_propagates(self):
+        pools = PoolManager()
+
+        def task(i):
+            if i == 2:
                 raise ValueError("boom")
-            started.append(i)
-            time.sleep(0.05)
-            finished.append(i)
             return i
 
         try:
             with pytest.raises(ValueError, match="boom"):
-                map_ordered(4, job, range(4), pools=pools)
-            # Every sibling that started also finished before the error
-            # propagated (not-yet-started ones were cancelled): nothing is
-            # left running on the long-lived pool.
-            assert sorted(finished) == sorted(started)
+                run_tasks(
+                    ParallelConfig(workers=2), task, [(i,) for i in range(4)], pools=pools
+                )
             assert not pools.closed
         finally:
-            pools.shutdown()
+            pools.shutdown(wait=True)
+
+
+class TestPoolManager:
+    def test_pools_start_lazily(self):
+        pools = PoolManager()
+        assert pools.started_pools == 0 and pools.queue_depth() == 0
+        first = pools.thread_pool(2)
+        assert pools.thread_pool(2) is first
+        assert pools.started_pools == 1
+        pools.shutdown(wait=True)
+
+    def test_roles_never_share_a_pool(self):
+        pools = PoolManager()
+        morsel = pools.thread_pool(2, role=ROLE_MORSEL)
+        serving = pools.thread_pool(2, role=ROLE_SERVING)
+        assert morsel is not serving
+        assert pools.started_pools == 2
+        pools.shutdown(wait=True)
+
+    def test_reopen_keeps_the_manager_usable(self):
+        pools = PoolManager()
+        before = pools.thread_pool(2)
+        pools.shutdown(wait=True, reopen=True)
+        assert not pools.closed
+        after = pools.thread_pool(2)
+        assert after is not before
+        assert after.submit(lambda: 7).result(timeout=5) == 7
+        assert pools.started_pools == 2
+        pools.shutdown(wait=True)
+
+    def test_closed_manager_refuses_new_pools(self):
+        pools = PoolManager()
+        pools.shutdown()
+        assert pools.closed
+        with pytest.raises(RuntimeError, match="closed"):
+            pools.thread_pool(2)

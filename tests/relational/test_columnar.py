@@ -29,6 +29,7 @@ from repro.relational.executor import (
     DEFAULT_ENGINE,
     Executor,
     available_engines,
+    check_engine,
     execute,
 )
 
@@ -378,6 +379,22 @@ class TestEngineParity:
         with pytest.raises(ValueError, match="unknown engine"):
             Executor(database, engine="turbo")
         assert Executor(database).engine == DEFAULT_ENGINE == "columnar"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_check_engine_accepts_every_available_engine(self, engine):
+        check_engine(engine)
+
+    @pytest.mark.parametrize("engine", ["turbo", "Columnar", ""])
+    def test_executor_and_evaluator_reject_alike(self, database, engine):
+        from repro.core import make_evaluator
+
+        with pytest.raises(ValueError) as executor_error:
+            Executor(database, engine=engine)
+        with pytest.raises(ValueError) as evaluator_error:
+            make_evaluator("e-basic", engine=engine)
+        message = str(executor_error.value)
+        assert message == str(evaluator_error.value)
+        assert message.startswith(f"unknown engine {engine!r}; available: ")
 
 
 class TestRowCounterInvariant:

@@ -31,7 +31,7 @@ from repro.relational.database import Database
 from repro.relational.executor import Executor
 from repro.relational.expressions import col
 from repro.relational.indexes import IndexCatalog
-from repro.relational.parallel.partition import cached_chunk_columns, shard_relation
+from repro.relational.parallel.partition import cached_chunk_columns
 from repro.relational.plancache import PlanCache, append_shape
 from repro.relational.predicates import ColumnEquals, Equals
 from repro.relational.relation import (
@@ -155,7 +155,7 @@ class TestRelationWrites:
         relation = make_relation()
         view = relation.prefixed("x")
         columns = relation.column_data()
-        shards = [shard.data for shard in shard_relation(relation, 2).shards]
+        shards = cached_chunk_columns(relation, 2, [0, 1])
         holders = (relation._column_cache, relation._shard_cache, relation._vector_cache)
         relation.append_rows([(9, "v9")])
         assert all(
@@ -172,9 +172,9 @@ class TestRelationWrites:
             )
         )
         assert view.column_data() is columns
-        assert [shard.data for shard in shard_relation(view, 2).shards] == shards
+        assert cached_chunk_columns(view, 2, [0, 1]) == shards
         assert relation.column_data()[0] == [0, 1, 2, 3, 9]
-        assert shard_relation(relation, 2).total_rows == 5
+        assert cached_chunk_columns(relation, 2, [0])[1] == [(0, 3), (3, 5)]
 
 
 class TestConcurrentWrites:
@@ -367,7 +367,7 @@ def _derived(db: Database) -> dict:
         },
         "column_stats": [db.stats_catalog.column("t", name) for name in keys],
         "row_count": db.stats_catalog.row_count("t"),
-        "chunk_shards": [shard.data for shard in shard_relation(relation, 3).shards],
+        "chunk_shards": cached_chunk_columns(relation, 2, [1, 0]),
         "chunk_columns": cached_chunk_columns(relation, 3, [0, 1]),
     }
     if vector.numpy_available():

@@ -453,6 +453,19 @@ class TestWithoutNumpy:
         with pytest.raises(ValueError, match="requires NumPy"):
             make_evaluator("e-basic", engine="vector")
 
+    def test_executor_and_evaluator_share_one_message(self):
+        from repro.core import make_evaluator
+        from repro.relational.database import Database
+        from repro.relational.executor import Executor
+        from repro.relational.schema import DatabaseSchema
+
+        db = Database(DatabaseSchema("S", []))
+        with pytest.raises(ValueError) as executor_error:
+            Executor(db, engine="vector")
+        with pytest.raises(ValueError) as evaluator_error:
+            make_evaluator("e-basic", engine="vector")
+        assert str(executor_error.value) == str(evaluator_error.value)
+
     def test_evaluator_names_only_the_engines_that_are_there(self):
         from repro.core import make_evaluator
 
