@@ -1,14 +1,9 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared fixtures for the pytest-benchmark scripts in ``benchmarks/``.
 
-Every benchmark regenerates one table or figure of the paper's evaluation
-section.  The paper ran on a 100 MB TPC-H instance with 100-500 possible
-mappings and a C++ engine; the benchmarks run the same experiments on a
-smaller instance (see ``repro.bench.harness.mb_to_scale``) so that the whole
-suite finishes in minutes on a laptop while preserving the *relative*
-behaviour the figures show.  EXPERIMENTS.md records the calibration and the
-paper-versus-measured comparison for every experiment.
-
-Reports are printed to stdout and written to ``benchmarks/results/``.
+The paper's claims are checked by ``benchmarks/paper/run.py``; the scripts
+here measure the system's own subsystems (engines, sessions, writes,
+serving, observability, anytime).  Reports are printed to stdout and written
+to ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -19,44 +14,13 @@ import pytest
 
 from repro.datagen.scenario import MatchingScenario, build_scenario
 
-#: Number of possible mappings used by the figure-11/12 benchmarks.
-BENCH_H = 60
-#: Generator scale used by the figure-11/12 benchmarks (the "40 MB" point of
-#: the calibrated size axis).
-BENCH_SCALE = 0.03
-#: Smaller setting used wherever the *basic* evaluator is involved
-#: (figures 10(a)-(c)); basic is deliberately the slowest algorithm.
-BASIC_H = 30
-BASIC_SCALE = 0.02
-
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
-def excel_bench() -> MatchingScenario:
-    """The default benchmark scenario (Excel target, like the paper)."""
-    return build_scenario(target="Excel", h=BENCH_H, scale=BENCH_SCALE, seed=7)
-
-
-@pytest.fixture(scope="session")
-def noris_bench() -> MatchingScenario:
-    return build_scenario(target="Noris", h=BENCH_H, scale=BENCH_SCALE, seed=7)
-
-
-@pytest.fixture(scope="session")
-def paragon_bench() -> MatchingScenario:
-    return build_scenario(target="Paragon", h=BENCH_H, scale=BENCH_SCALE, seed=7)
-
-
-@pytest.fixture(scope="session")
-def bench_scenarios(excel_bench, noris_bench, paragon_bench) -> dict[str, MatchingScenario]:
-    return {"Excel": excel_bench, "Noris": noris_bench, "Paragon": paragon_bench}
-
-
-@pytest.fixture(scope="session")
 def small_excel_bench() -> MatchingScenario:
-    """Smaller scenario used by the experiments that include *basic*."""
-    return build_scenario(target="Excel", h=BASIC_H, scale=BASIC_SCALE, seed=7)
+    """The small Excel scenario the session, batch and observability benchmarks share."""
+    return build_scenario(target="Excel", h=30, scale=0.02, seed=7)
 
 
 @pytest.fixture(scope="session")

@@ -17,8 +17,9 @@ mappings* with probabilities.  It contains:
   probability intervals (:mod:`repro.anytime`, ``method="anytime"``),
 * the paper's query workload and parameterised workload generators
   (:mod:`repro.workloads`), and
-* the benchmark harness regenerating the paper's figures and tables
-  (:mod:`repro.bench`).
+* the cold-query and table helpers the benchmarks share
+  (:mod:`repro.bench`); the paper's claims are checked by
+  ``benchmarks/paper/run.py``.
 
 Quickstart (session-first)::
 

@@ -1,35 +1,11 @@
-"""Benchmark harness: experiment runners and report formatting.
+"""What the benchmark scripts and the differential tests share.
 
-The modules in this package power the scripts in ``benchmarks/``, which
-regenerate every table and figure of the paper's evaluation section
-(Section VIII).  The harness is importable on its own so that downstream
-users can run the same sweeps against their own schemas and instances.
+:func:`cold_query` answers one query on a fresh session (the paper's
+per-figure setting) and :func:`format_table` renders a fixed-width result
+table.  The paper's claims are checked by ``benchmarks/paper/run.py``.
 """
 
-from repro.bench.harness import (
-    DEFAULT_METHODS,
-    ExperimentPoint,
-    ExperimentSeries,
-    mb_to_scale,
-    run_method,
-    run_methods,
-    run_workload,
-    sweep_database_size,
-    sweep_mapping_count,
-)
-from repro.bench.reporting import format_series, format_table, render_experiment
+from repro.bench.harness import cold_query
+from repro.bench.reporting import format_table
 
-__all__ = [
-    "DEFAULT_METHODS",
-    "ExperimentPoint",
-    "ExperimentSeries",
-    "mb_to_scale",
-    "run_method",
-    "run_methods",
-    "run_workload",
-    "sweep_database_size",
-    "sweep_mapping_count",
-    "format_series",
-    "format_table",
-    "render_experiment",
-]
+__all__ = ["cold_query", "format_table"]

@@ -1,14 +1,12 @@
-"""Plain-text rendering of experiment results.
+"""Plain-text rendering of benchmark results.
 
-Every benchmark prints the rows/series the corresponding paper figure plots,
-in a fixed-width table that is easy to diff and to paste into EXPERIMENTS.md.
+The benchmark scripts print the rows they measure in a fixed-width table that
+is easy to diff.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
-
-from repro.bench.harness import ExperimentSeries
 
 
 def _render_cell(value: Any) -> str:
@@ -34,24 +32,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     for row in rendered_rows:
         lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_series(series: ExperimentSeries, metric: str = "seconds") -> str:
-    """Render one experiment series as an x-versus-methods table."""
-    headers = [series.x_label] + [f"{method} [{metric}]" for method in series.methods()]
-    return format_table(headers, series.as_rows(metric))
-
-
-def render_experiment(
-    title: str,
-    series: ExperimentSeries,
-    metrics: Sequence[str] = ("seconds",),
-    notes: str = "",
-) -> str:
-    """Render a complete experiment report (title + one table per metric)."""
-    sections = [f"== {title} =="]
-    if notes:
-        sections.append(notes)
-    for metric in metrics:
-        sections.append(format_series(series, metric=metric))
-    return "\n\n".join(sections) + "\n"

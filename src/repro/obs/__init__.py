@@ -19,8 +19,6 @@ evaluator on every engine.
 from repro.obs.artifacts import (
     REPO_ROOT,
     SCHEMA_VERSION,
-    point_payload,
-    series_payload,
     snapshot_payload,
     write_bench_artifact,
 )
@@ -48,7 +46,5 @@ __all__ = [
     "REPO_ROOT",
     "SCHEMA_VERSION",
     "write_bench_artifact",
-    "series_payload",
-    "point_payload",
     "snapshot_payload",
 ]

@@ -18,10 +18,7 @@ values *are* included (they are the point of a perf artifact) — consumers
 diffing across machines should read the deterministic counters (operators,
 rows, cache hits) as the gating signal, exactly as CI does.
 
-:func:`series_payload` serializes the bench harness's
-:class:`~repro.bench.harness.ExperimentSeries`;
-:func:`snapshot_payload` embeds a
-:class:`~repro.obs.metrics.MetricsSnapshot`.
+:func:`snapshot_payload` embeds a :class:`~repro.obs.metrics.MetricsSnapshot`.
 """
 
 from __future__ import annotations
@@ -34,8 +31,6 @@ __all__ = [
     "REPO_ROOT",
     "SCHEMA_VERSION",
     "write_bench_artifact",
-    "series_payload",
-    "point_payload",
     "snapshot_payload",
 ]
 
@@ -74,31 +69,6 @@ def write_bench_artifact(
     path = target / f"BENCH_{name}.json"
     path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
     return path
-
-
-def point_payload(point) -> dict[str, Any]:
-    """One :class:`~repro.bench.harness.ExperimentPoint` as a JSON object."""
-    return {
-        "method": point.method,
-        "x": _jsonable(point.x),
-        "seconds": point.seconds,
-        "source_operators": point.source_operators,
-        "source_queries": point.source_queries,
-        "answers": point.answers,
-        "reformulations": point.reformulations,
-        "details": _jsonable(point.details),
-    }
-
-
-def series_payload(series) -> dict[str, Any]:
-    """One :class:`~repro.bench.harness.ExperimentSeries` as a JSON object."""
-    return {
-        "title": series.title,
-        "x_label": series.x_label,
-        "methods": series.methods(),
-        "x_values": [_jsonable(x) for x in series.x_values()],
-        "points": [point_payload(point) for point in series.points],
-    }
 
 
 def snapshot_payload(snapshot) -> dict[str, Any]:

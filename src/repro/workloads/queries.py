@@ -4,7 +4,8 @@ Ten queries over the three target schemas — Q1-Q5 on Excel, Q6-Q7 on Noris and
 Q8-Q10 on Paragon — combining selections, projections, Cartesian products
 (including self-joins), COUNT and SUM, exactly as listed in Table III.
 
-Two faithful-but-necessary adjustments are made, both documented in DESIGN.md:
+Two faithful-but-necessary adjustments are made, both recorded in the Setup
+section of REPRODUCTION.md:
 
 * selection constants on *address-valued* attributes use ``'Central'`` (a
   street name that occurs in the generated instance) where the paper prints

@@ -1,16 +1,6 @@
 """Unit tests for benchmark report formatting."""
 
-from repro.bench.harness import ExperimentPoint, ExperimentSeries
-from repro.bench.reporting import format_series, format_table, render_experiment
-
-
-def sample_series():
-    series = ExperimentSeries(title="demo", x_label="mappings")
-    series.add(ExperimentPoint("e-basic", 100, 1.25, 40, 10, 5))
-    series.add(ExperimentPoint("o-sharing", 100, 0.5, 12, 0, 5))
-    series.add(ExperimentPoint("e-basic", 200, 2.5, 80, 20, 5))
-    series.add(ExperimentPoint("o-sharing", 200, 0.75, 20, 0, 5))
-    return series
+from repro.bench.reporting import format_table
 
 
 class TestFormatTable:
@@ -26,28 +16,3 @@ class TestFormatTable:
         text = format_table(["m"], [["a-very-long-cell-value"]])
         header, rule, row = text.splitlines()
         assert len(rule) >= len("a-very-long-cell-value")
-
-
-class TestFormatSeries:
-    def test_series_table_contains_methods_and_values(self):
-        text = format_series(sample_series())
-        assert "e-basic [seconds]" in text
-        assert "o-sharing [seconds]" in text
-        assert "1.250" in text and "0.750" in text
-
-    def test_other_metric(self):
-        text = format_series(sample_series(), metric="source_operators")
-        assert "40" in text and "20" in text
-
-
-class TestRenderExperiment:
-    def test_render_includes_title_notes_and_tables(self):
-        text = render_experiment(
-            "Figure 11(c)",
-            sample_series(),
-            metrics=("seconds", "source_operators"),
-            notes="shape check only",
-        )
-        assert text.startswith("== Figure 11(c) ==")
-        assert "shape check only" in text
-        assert text.count("mappings") >= 2

@@ -4,45 +4,13 @@ from __future__ import annotations
 
 import json
 
-from repro.bench.harness import (
-    ExperimentPoint,
-    ExperimentSeries,
-    write_series_artifact,
-)
 from repro.obs import (
     REPO_ROOT,
     SCHEMA_VERSION,
     MetricsRegistry,
-    series_payload,
     snapshot_payload,
     write_bench_artifact,
 )
-
-
-def _sample_series():
-    series = ExperimentSeries(title="sweep", x_label="selections")
-    series.add(
-        ExperimentPoint(
-            method="e-basic",
-            x=1,
-            seconds=0.25,
-            source_operators=10,
-            source_queries=4,
-            answers=3,
-            details={"rows_scanned": 100},
-        )
-    )
-    series.add(
-        ExperimentPoint(
-            method="e-basic",
-            x=2,
-            seconds=0.5,
-            source_operators=20,
-            source_queries=8,
-            answers=3,
-        )
-    )
-    return series
 
 
 class TestWriteBenchArtifact:
@@ -88,39 +56,6 @@ class TestWriteBenchArtifact:
 
     def test_default_root_is_repo_root(self):
         assert (REPO_ROOT / "src" / "repro" / "obs" / "artifacts.py").exists()
-
-
-class TestSeriesPayload:
-    def test_series_payload_shape(self):
-        payload = series_payload(_sample_series())
-        assert payload["title"] == "sweep"
-        assert payload["x_label"] == "selections"
-        assert payload["methods"] == ["e-basic"]
-        assert payload["x_values"] == [1, 2]
-        assert [point["x"] for point in payload["points"]] == [1, 2]
-        assert payload["points"][0]["details"] == {"rows_scanned": 100}
-
-    def test_write_series_artifact_single(self, tmp_path):
-        path = write_series_artifact(
-            "sweep",
-            _sample_series(),
-            gates={"ok": True},
-            root=tmp_path,
-            workload={"h": 60},
-        )
-        document = json.loads(path.read_text(encoding="utf-8"))
-        assert document["benchmark"] == "sweep"
-        assert document["series"]["title"] == "sweep"
-        assert document["gates"] == {"ok": True}
-        assert document["workload"] == {"h": 60}
-
-    def test_write_series_artifact_sequence(self, tmp_path):
-        path = write_series_artifact(
-            "multi", [_sample_series(), _sample_series()], root=tmp_path
-        )
-        document = json.loads(path.read_text(encoding="utf-8"))
-        assert isinstance(document["series"], list)
-        assert len(document["series"]) == 2
 
 
 class TestSnapshotPayload:
