@@ -21,7 +21,17 @@ import time
 from functools import lru_cache
 from pathlib import Path
 
-from claims import (
+from repro.bench import cold_query
+from repro.datagen.generator import GeneratorConfig, generate_source_instance
+from repro.datagen.scenario import build_scenario
+from repro.obs.artifacts import REPO_ROOT, write_bench_artifact
+from repro.workloads.generators import product_query, selection_query
+from repro.workloads.queries import PAPER_QUERIES
+
+# the claims tables are packages under benchmarks/ (paper, system)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from paper.claims import (  # noqa: E402
     CLAIMS,
     CONFIGS,
     EVERY,
@@ -38,13 +48,6 @@ from claims import (
     Term,
     ordering_pairs,
 )
-
-from repro.bench import cold_query
-from repro.datagen.generator import GeneratorConfig, generate_source_instance
-from repro.datagen.scenario import build_scenario
-from repro.obs.artifacts import REPO_ROOT, write_bench_artifact
-from repro.workloads.generators import product_query, selection_query
-from repro.workloads.queries import PAPER_QUERIES
 
 SEED = 7
 

@@ -6,22 +6,13 @@ evaluate queries (Excel, h=20, scale 0.01).
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-PAPER_DIR = Path(__file__).resolve().parent
-sys.path.insert(0, str(PAPER_DIR))
-
-from claims import AXES, CLAIMS, CONFIGS, OPS, Gate, Term, ordering_tiers  # noqa: E402
-
-_spec = importlib.util.spec_from_file_location("paper_run", PAPER_DIR / "run.py")
-run = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(run)
+from paper import run
+from paper.claims import AXES, CLAIMS, CONFIGS, OPS, Gate, Term, ordering_tiers
 
 IDS = [claim.id for claim in CLAIMS]
 

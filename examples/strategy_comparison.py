@@ -16,8 +16,13 @@ from __future__ import annotations
 import time
 
 from repro import build_scenario, connect
-from repro.bench.reporting import format_table
 from repro.workloads import paper_query
+
+
+def print_table(headers, rows) -> None:
+    widths = [max(len(str(cell)) for cell in column) for column in zip(headers, *rows)]
+    for row in (headers, ["-" * width for width in widths], *rows):
+        print("  ".join(str(cell).ljust(width) for cell, width in zip(row, widths)))
 
 
 def measure(query, scenario, method, **options):
@@ -55,11 +60,9 @@ def main() -> None:
             ]
         )
     print("Evaluators (identical answers, different cost)")
-    print(
-        format_table(
-            ["method", "seconds", "source operators", "source queries", "reformulations", "answers"],
-            rows,
-        )
+    print_table(
+        ["method", "seconds", "source operators", "source queries", "reformulations", "answers"],
+        rows,
     )
     print()
 
@@ -76,7 +79,7 @@ def main() -> None:
             ]
         )
     print("o-sharing operator-selection strategies (Section VI-A)")
-    print(format_table(["strategy", "seconds", "source operators", "e-units"], rows))
+    print_table(["strategy", "seconds", "source operators", "e-units"], rows)
 
 
 if __name__ == "__main__":

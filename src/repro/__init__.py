@@ -17,9 +17,9 @@ mappings* with probabilities.  It contains:
   probability intervals (:mod:`repro.anytime`, ``method="anytime"``),
 * the paper's query workload and parameterised workload generators
   (:mod:`repro.workloads`), and
-* the cold-query and table helpers the benchmarks share
-  (:mod:`repro.bench`); the paper's claims are checked by
-  ``benchmarks/paper/run.py``.
+* the cold-query helper the benchmarks share (:mod:`repro.bench`); the
+  paper's claims are checked by ``benchmarks/paper/run.py`` and the
+  system's by ``benchmarks/system/run.py``.
 
 Quickstart (session-first)::
 

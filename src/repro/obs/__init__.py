@@ -7,8 +7,8 @@ Three zero-dependency pieces, threaded through the whole engine:
   a strict no-op fast path when disabled;
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters, gauges
   and bounded histograms, snapshot-able to JSON and Prometheus text format;
-* :mod:`repro.obs.artifacts` — the ``BENCH_*.json`` serializer every
-  CI-gated benchmark emits its series through.
+* :mod:`repro.obs.artifacts` — the ``BENCH_*.json`` serializer both claims
+  runners (``benchmarks/paper/``, ``benchmarks/system/``) write through.
 
 The pinned invariant (asserted by the differential harness and CI):
 **instrumentation never changes answers or operator counts** — enabling
@@ -16,12 +16,7 @@ tracing and metrics is byte-identical to running without them, for every
 evaluator on every engine.
 """
 
-from repro.obs.artifacts import (
-    REPO_ROOT,
-    SCHEMA_VERSION,
-    snapshot_payload,
-    write_bench_artifact,
-)
+from repro.obs.artifacts import REPO_ROOT, SCHEMA_VERSION, write_bench_artifact
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -46,5 +41,4 @@ __all__ = [
     "REPO_ROOT",
     "SCHEMA_VERSION",
     "write_bench_artifact",
-    "snapshot_payload",
 ]

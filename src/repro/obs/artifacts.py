@@ -1,9 +1,9 @@
 """Machine-readable perf artifacts: ``BENCH_<name>.json`` at the repo root.
 
-Every CI-gated benchmark emits its measured series through one serializer so
-the repo keeps an honest, diffable perf trajectory (the ROADMAP's
-"machine-readable perf artifacts" item).  The envelope is deliberately
-boring and stable::
+Both claims runners (``benchmarks/paper/run.py`` and
+``benchmarks/system/run.py``) write their measured series through one
+serializer so the repo keeps an honest, diffable perf trajectory.  The
+envelope is deliberately boring and stable::
 
     {
       "benchmark": "<name>",
@@ -17,8 +17,6 @@ the interesting deltas are the measured numbers themselves.  Wall-clock
 values *are* included (they are the point of a perf artifact) — consumers
 diffing across machines should read the deterministic counters (operators,
 rows, cache hits) as the gating signal, exactly as CI does.
-
-:func:`snapshot_payload` embeds a :class:`~repro.obs.metrics.MetricsSnapshot`.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ __all__ = [
     "REPO_ROOT",
     "SCHEMA_VERSION",
     "write_bench_artifact",
-    "snapshot_payload",
 ]
 
 #: The repository root (``src/repro/obs/`` is three levels below it).
@@ -70,7 +67,3 @@ def write_bench_artifact(
     path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
     return path
 
-
-def snapshot_payload(snapshot) -> dict[str, Any]:
-    """A :class:`~repro.obs.metrics.MetricsSnapshot` as a JSON object."""
-    return {"enabled": snapshot.enabled, "metrics": _jsonable(snapshot.data)}

@@ -10,7 +10,7 @@ point-in-time events.  The design constraints, in order:
    observe; every call site guards on ``tracer is not None`` (or the ambient
    :func:`current_tracer`, which is one thread-local attribute read) so the
    disabled path stays within noise of uninstrumented code
-   (``benchmarks/bench_observability.py`` gates this).
+   (the ``observability`` row of ``benchmarks/system/claims.py`` gates this).
 2. **Thread propagation** — each thread keeps its own span stack; worker
    threads adopt the submitting thread's current span via :meth:`Tracer.attach`
    (:func:`repro.relational.parallel.run_tasks` wires this), so morsel-level

@@ -20,11 +20,10 @@ kernels (:mod:`repro.relational.vector`) and falls back *per node* to the
 serial columnar code for columns without a clean dtype.  All engines produce
 identical relations, identical :class:`ExecutionStats` counters and share
 the hash-index fast path, the plan cache and the materialization policies;
-the columnar engine is simply faster (see
-``benchmarks/bench_engine_columnar.py``), the parallel engine shards the
-columnar sweeps across cores (``benchmarks/bench_engine_parallel.py``) and
-the vector engine replaces them with C-speed array kernels
-(``benchmarks/bench_engine_vector.py``).
+the columnar engine is simply faster, the parallel engine shards the
+columnar sweeps across cores and the vector engine replaces them with
+C-speed array kernels (the ``engine-columnar``, ``engine-parallel`` and
+``engine-vector`` rows of ``benchmarks/system/claims.py`` measure each).
 
 Two physical optimisations are implemented because the figures depend on
 realistic relative costs:
@@ -97,6 +96,11 @@ DEFAULT_ENGINE = "columnar"
 
 #: Engines that evaluate plans over :class:`ColumnBatch` instances.
 _BATCH_ENGINES = ("columnar", "parallel", "vector")
+
+
+def _same(relation: Relation) -> Relation:
+    """The row engine's results are the relations the plan cache stores."""
+    return relation
 
 
 def available_engines() -> tuple[str, ...]:
@@ -233,21 +237,34 @@ class Executor:
     def _evaluate(self, node: PlanNode) -> Relation:
         if isinstance(node, Materialized):
             return node.relation
-        if self.cache is None or self.policy is None:
-            return self._dispatch(node)
-        key = self.policy.cache_key(node)
+        return self._through_cache(node, self._dispatch, _same, _same)
+
+    def _through_cache(self, node: PlanNode, dispatch, load, store):
+        """``dispatch(node)``, through the plan cache if the policy selects ``node``.
+
+        Both engines probe here: ``load`` turns a cached relation into the
+        engine's result type and ``store`` turns a result back.  The probe
+        computes each key once (:meth:`PlanCache.claim`), so concurrent
+        executors sharing a cache never execute one sub-plan twice.
+        """
+        key = None if self.cache is None or self.policy is None else self.policy.cache_key(node)
         if key is None:
-            return self._dispatch(node)
-        entry = self.cache.get(key, self.database)
+            return dispatch(node)
+        entry = self.cache.claim(key, self.database)
         if entry is not None:
             self.stats.count_cache_hit(entry.operator_count)
             self._trace_cache("hit", operators_saved=entry.operator_count)
             self._merge_version_pins(entry.dependency_versions)
-            return entry.relation
+            return load(entry.relation)
         self.stats.count_cache_miss()
         self._trace_cache("miss")
-        result = self._dispatch(node)
-        self.cache.put(key, node, result, self.database, versions=self._version_pins)
+        try:
+            result = dispatch(node)
+            self.cache.put(
+                key, node, store(result), self.database, versions=self._version_pins
+            )
+        finally:
+            self.cache.release(key)
         return result
 
     def _trace_cache(self, outcome: str, **attributes) -> None:
@@ -649,24 +666,9 @@ class Executor:
         """Columnar twin of :meth:`_evaluate` (same cache/policy handling)."""
         if isinstance(node, Materialized):
             return ColumnBatch.from_relation(node.relation)
-        if self.cache is None or self.policy is None:
-            return self._dispatch_columnar(node)
-        key = self.policy.cache_key(node)
-        if key is None:
-            return self._dispatch_columnar(node)
-        entry = self.cache.get(key, self.database)
-        if entry is not None:
-            self.stats.count_cache_hit(entry.operator_count)
-            self._trace_cache("hit", operators_saved=entry.operator_count)
-            self._merge_version_pins(entry.dependency_versions)
-            return ColumnBatch.from_relation(entry.relation)
-        self.stats.count_cache_miss()
-        self._trace_cache("miss")
-        result = self._dispatch_columnar(node)
-        self.cache.put(
-            key, node, result.to_relation(), self.database, versions=self._version_pins
+        return self._through_cache(
+            node, self._dispatch_columnar, ColumnBatch.from_relation, ColumnBatch.to_relation
         )
-        return result
 
     def _dispatch_columnar(self, node: PlanNode) -> ColumnBatch:
         tracer = self.tracer

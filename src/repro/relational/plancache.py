@@ -143,6 +143,9 @@ class PlanCache:
     Lookups, stores and invalidations are guarded by a re-entrant lock so
     one cache can serve the batch evaluator's concurrently running queries
     (the LRU reordering and the stats counters are not otherwise atomic).
+    The executor probes through :meth:`claim`, which computes each key once:
+    a miss marks the key in flight until :meth:`release`, and a concurrent
+    caller probing the same key waits for it and then counts a hit.
     """
 
     def __init__(self, maxsize: int | None = 1024):
@@ -154,6 +157,8 @@ class PlanCache:
         self._attached: list = []
         self._write_hooks: dict[int, object] = {}
         self._lock = threading.RLock()
+        #: key -> a lock held by the caller computing it (see :meth:`claim`)
+        self._in_flight: dict[str, threading.Lock] = {}
 
     # ------------------------------------------------------------------ #
     # lookup / store
@@ -168,19 +173,54 @@ class PlanCache:
         mutation hook) is dropped and reported as a miss.
         """
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._lookup(key, database)
             if entry is None:
                 self.stats.misses += 1
-                return None
-            if database is not None and not self._fresh(entry, database):
-                del self._entries[key]
-                self.stats.invalidations += 1
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            self.stats.operators_saved += entry.operator_count
             return entry
+
+    def claim(self, key: str, database=None) -> CachedPlan | None:
+        """:meth:`get`, computing each key once across concurrent callers.
+
+        A hit returns the entry.  A miss returns ``None`` and marks ``key`` in
+        flight: the caller computes it, stores it with :meth:`put` and must
+        then :meth:`release` it (also when computing fails).  Until then every
+        other caller probing ``key`` waits, and then probes again -- a hit
+        once the result is stored, the new owner if computing failed.
+        """
+        while True:
+            with self._lock:
+                entry = self._lookup(key, database)
+                if entry is not None:
+                    return entry
+                pending = self._in_flight.get(key)
+                if pending is None:
+                    pending = self._in_flight[key] = threading.Lock()
+                    pending.acquire()
+                    self.stats.misses += 1
+                    return None
+            with pending:
+                pass
+
+    def release(self, key: str) -> None:
+        """End the computation :meth:`claim` handed out for ``key``."""
+        with self._lock:
+            pending = self._in_flight.pop(key, None)
+        if pending is not None:
+            pending.release()
+
+    def _lookup(self, key: str, database) -> CachedPlan | None:
+        """The fresh entry for ``key``, counted as a hit; misses are the caller's."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        if database is not None and not self._fresh(entry, database):
+            del self._entries[key]
+            self.stats.invalidations += 1
+            return None
+        self._entries.move_to_end(key)
+        self.stats.hits += 1
+        self.stats.operators_saved += entry.operator_count
+        return entry
 
     @staticmethod
     def _fresh(entry: CachedPlan, database) -> bool:

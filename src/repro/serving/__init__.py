@@ -18,8 +18,8 @@ network service without changing a single answer byte:
 The pinned invariant (ARCHITECTURE.md): serving N tenants concurrently is
 **byte-identical** to running each tenant's admitted requests serially on an
 isolated session — :func:`~repro.serving.tenants.serial_replay` is the
-reference implementation of that statement, and ``tests/serving/`` plus
-``benchmarks/bench_serving_load.py`` gate it.
+reference implementation of that statement, and ``tests/serving/`` plus the
+``serving-load`` row of ``benchmarks/system/claims.py`` gate it.
 """
 
 from repro.serving.client import ServingClient

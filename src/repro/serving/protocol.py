@@ -16,8 +16,8 @@ that the response echoes back.  The envelope is deliberately tiny::
 
 ``seq`` is the per-tenant execution sequence number: replaying a tenant's
 requests in ``seq`` order through an isolated session produces byte-identical
-response frames (the serving invariant, gated by ``tests/serving/`` and
-``benchmarks/bench_serving_load.py``).  To keep that byte-identity meaningful
+response frames (the serving invariant, gated by ``tests/serving/`` and the
+``serving-load`` row of ``benchmarks/system/claims.py``).  To keep that byte-identity meaningful
 the result payloads contain only deterministic values — ranked answers,
 probabilities and operator/cache counters; wall-clock lives in ``/metrics``,
 never in a response body.

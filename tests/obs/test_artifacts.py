@@ -4,13 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.obs import (
-    REPO_ROOT,
-    SCHEMA_VERSION,
-    MetricsRegistry,
-    snapshot_payload,
-    write_bench_artifact,
-)
+from repro.obs import REPO_ROOT, SCHEMA_VERSION, write_bench_artifact
 
 
 class TestWriteBenchArtifact:
@@ -57,11 +51,3 @@ class TestWriteBenchArtifact:
     def test_default_root_is_repo_root(self):
         assert (REPO_ROOT / "src" / "repro" / "obs" / "artifacts.py").exists()
 
-
-class TestSnapshotPayload:
-    def test_snapshot_embeds(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_hits_total").inc(3)
-        payload = snapshot_payload(registry.snapshot())
-        assert payload["enabled"] is True
-        assert payload["metrics"]["repro_hits_total"]["series"][0]["value"] == 3

@@ -1,5 +1,7 @@
 """Unit tests for the plan-result cache and materialization policies."""
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,6 +193,70 @@ class TestExecutorDefaultPolicy:
         executor.execute(plan)
         executor.execute(plan)
         assert cache.stats.hits == 1
+
+
+class TestComputeOnce:
+    @pytest.mark.parametrize("engine", ["row", "columnar"])
+    def test_concurrent_misses_execute_a_shared_plan_once(self, database, engine):
+        # Two executors share one cache and run the same plan.  The barrier
+        # holds the first to dispatch the plan until the second has probed
+        # the cache too: probed with a separate lookup and store, both miss
+        # and both execute it.  Computed once, the second waits in the probe
+        # (the barrier times out) and is served the first one's result.
+        from repro.relational.executor import Executor
+        from repro.relational.stats import ExecutionStats
+
+        cache = PlanCache()
+        plan = select_plan("emp")
+        barrier = threading.Barrier(2, timeout=0.5)
+        executors = []
+        for _ in range(2):
+            executor = Executor(database, cache=cache, stats=ExecutionStats(), engine=engine)
+            dispatch = executor._dispatch if engine == "row" else executor._dispatch_columnar
+
+            def held(node, _dispatch=dispatch):
+                if node is plan:
+                    try:
+                        barrier.wait()
+                    except threading.BrokenBarrierError:
+                        pass
+                return _dispatch(node)
+
+            setattr(executor, dispatch.__name__, held)
+            executors.append(executor)
+        results = [None, None]
+
+        def run(i):
+            results[i] = executors[i].execute(plan)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+        assert results[0].rows == results[1].rows == [(1, 10)]
+        assert sum(e.stats.source_operators for e in executors) == plan_cost(plan)
+        # the indexed select fuses its scan: one probe per execution
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+
+    def test_failed_computation_hands_the_key_on(self):
+        cache = PlanCache()
+        plan = select_plan()
+        key = plan.canonical()
+        assert cache.claim(key) is None
+        claimed = []
+        waiter = threading.Thread(target=lambda: claimed.append(cache.claim(key)))
+        waiter.start()
+        waiter.join(timeout=0.2)
+        assert waiter.is_alive()  # waits while the key is in flight
+        cache.release(key)  # the owner failed without storing a result
+        waiter.join()
+        assert claimed == [None]  # the waiter is the new owner
+        cache.put(key, plan, result_relation())
+        cache.release(key)
+        assert cache.claim(key) is not None
+        assert (cache.stats.misses, cache.stats.hits) == (2, 1)
 
 
 class TestPolicies:
