@@ -452,19 +452,26 @@ def render(claims, results) -> str:
     return "\n".join(lines)
 
 
+def claim_record(claim: Claim) -> dict:
+    """The artifact fields that describe a row (both runners' artifacts start with them)."""
+    return {
+        "id": claim.id,
+        "source": claim.source,
+        "sentence": claim.sentence,
+        "scenario": dict(zip(("target", "h", "scale"), claim.scenario)),
+        "axis": claim.axis,
+        "values": claim.values,
+        "methods": claim.methods,
+    }
+
+
 def artifact(claims, results) -> dict:
     return {
         "setup": dict(setup_facts()),
         "configurations": CONFIGS,
         "claims": [
             {
-                "id": claim.id,
-                "source": claim.source,
-                "sentence": claim.sentence,
-                "scenario": dict(zip(("target", "h", "scale"), claim.scenario)),
-                "axis": claim.axis,
-                "values": claim.values,
-                "methods": claim.methods,
+                **claim_record(claim),
                 "ordering": claim.ordering,
                 "verdicts": r["verdicts"],
                 "gates": [{"gate": gate, "passed": passed} for gate, passed in r["gates"]],
@@ -483,38 +490,54 @@ def artifact(claims, results) -> dict:
     }
 
 
-def main(claims=CLAIMS, out: Path = REPO_ROOT) -> int:
-    """Measure, gate and report ``claims``; 1 if any gate failed."""
-    memo: dict = {}
+def ordering_verdicts(claim: Claim, points: dict) -> dict:
+    """The row's ordering verdict under each configuration (``None`` without one)."""
+    return {
+        config: verdict(
+            claim.ordering,
+            series(claim, points, config, "source_operators"),
+            series(claim, points, config, "seconds"),
+        ) if claim.ordering else None
+        for config in CONFIGS
+    }
+
+
+def gate_rows(claims, measure, verdicts=lambda claim, points: {}):
+    """Measure and gate every row of ``claims``; the results and the failed row ids.
+
+    ``measure(claim)`` returns the row's points.  Prints one line per row,
+    one per failed gate and, if any row failed, the ids of the failed rows.
+    Each result holds the row's ``points``, its ``gates`` as (description,
+    passed) pairs and its ``verdicts(claim, points)``.
+    """
     results = []
     for claim in claims:
         started = time.perf_counter()
-        points = measure(claim, memo)
+        points = measure(claim)
         gates = [(describe(gate, claim), check(gate, claim, points)) for gate in claim.gates]
-        verdicts = {
-            config: verdict(
-                claim.ordering,
-                series(claim, points, config, "source_operators"),
-                series(claim, points, config, "seconds"),
-            ) if claim.ordering else None
-            for config in CONFIGS
-        }
-        results.append({"points": points, "gates": gates, "verdicts": verdicts})
+        outcomes = verdicts(claim, points)
+        results.append({"points": points, "gates": gates, "verdicts": outcomes})
         failed = [gate for gate, passed in gates if not passed]
         print(f"{claim.id:<30} {time.perf_counter() - started:6.1f} s  "
               f"gates {len(gates) - len(failed)}/{len(gates)}  "
-              + "  ".join(f"{c}: {v}" for c, v in verdicts.items() if v), flush=True)
+              + "  ".join(f"{c}: {v}" for c, v in outcomes.items() if v), flush=True)
         for gate in failed:
             print(f"  FAIL {claim.id}: {gate}", flush=True)
-    out = Path(out)
-    (out / "REPRODUCTION.md").write_text(render(claims, results), encoding="utf-8")
-    write_bench_artifact("paper", artifact(claims, results), root=out)
     failed = [claim.id for claim, r in zip(claims, results)
               if not all(passed for _, passed in r["gates"])]
     if failed:
         print(f"gates failed: {', '.join(failed)}")
-        return 1
-    return 0
+    return results, failed
+
+
+def main(claims=CLAIMS, out: Path = REPO_ROOT) -> int:
+    """Measure, gate and report ``claims``; 1 if any gate failed."""
+    memo: dict = {}
+    results, failed = gate_rows(claims, lambda claim: measure(claim, memo), ordering_verdicts)
+    out = Path(out)
+    (out / "REPRODUCTION.md").write_text(render(claims, results), encoding="utf-8")
+    write_bench_artifact("paper", artifact(claims, results), root=out)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
     PYTHONPATH=src python benchmarks/system/run.py
 
-Measures every row of ``claims.py`` (scenarios are built once, as in the
-paper runner), evaluates its gates with the paper runner's evaluator, and
+Measures and gates every row of ``claims.py`` with the paper runner's loop
+and gate evaluator (scenarios are built once, as in the paper runner), and
 writes ``SYSTEM.md`` and ``BENCH_system.json`` at the repo root.  Exits 1
 naming every row whose gates fail.  Takes no arguments.
 """
@@ -11,7 +11,6 @@ naming every row whose gates fail.  Takes no arguments.
 from __future__ import annotations
 
 import sys
-import time
 from pathlib import Path
 
 from repro.obs.artifacts import REPO_ROOT, write_bench_artifact
@@ -22,7 +21,7 @@ from repro.relational.vector import numpy_available
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from paper.claims import PAPER  # noqa: E402
-from paper.run import build, check, describe, markdown_table, setup_facts  # noqa: E402
+from paper.run import build, claim_record, gate_rows, markdown_table, setup_facts  # noqa: E402
 from system.claims import CLAIMS  # noqa: E402
 
 
@@ -105,13 +104,7 @@ def artifact(claims, results) -> dict:
         "setup": dict(facts()),
         "claims": [
             {
-                "id": claim.id,
-                "source": claim.source,
-                "sentence": claim.sentence,
-                "scenario": dict(zip(("target", "h", "scale"), claim.scenario)),
-                "axis": claim.axis,
-                "values": claim.values,
-                "methods": claim.methods,
+                **claim_record(claim),
                 "gates": [{"gate": gate, "passed": passed} for gate, passed in r["gates"]],
                 "points": [
                     {"method": method, "x": x, **r["points"][PAPER][method, x]}
@@ -127,26 +120,11 @@ def artifact(claims, results) -> dict:
 
 def main(claims=CLAIMS, out: Path = REPO_ROOT) -> int:
     """Measure, gate and report ``claims``; 1 if any gate failed."""
-    results = []
-    for claim in claims:
-        started = time.perf_counter()
-        points = measure(claim)
-        gates = [(describe(gate, claim), check(gate, claim, points)) for gate in claim.gates]
-        results.append({"points": points, "gates": gates})
-        failed = [gate for gate, passed in gates if not passed]
-        print(f"{claim.id:<20} {time.perf_counter() - started:6.1f} s  "
-              f"gates {len(gates) - len(failed)}/{len(gates)}", flush=True)
-        for gate in failed:
-            print(f"  FAIL {claim.id}: {gate}", flush=True)
+    results, failed = gate_rows(claims, measure)
     out = Path(out)
     (out / "SYSTEM.md").write_text(render(claims, results), encoding="utf-8")
     write_bench_artifact("system", artifact(claims, results), root=out)
-    failed = [claim.id for claim, r in zip(claims, results)
-              if not all(passed for _, passed in r["gates"])]
-    if failed:
-        print(f"gates failed: {', '.join(failed)}")
-        return 1
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

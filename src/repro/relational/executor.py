@@ -256,9 +256,9 @@ class Executor:
             self._trace_cache("hit", operators_saved=entry.operator_count)
             self._merge_version_pins(entry.dependency_versions)
             return load(entry.relation)
-        self.stats.count_cache_miss()
-        self._trace_cache("miss")
         try:
+            self.stats.count_cache_miss()
+            self._trace_cache("miss")
             result = dispatch(node)
             self.cache.put(
                 key, node, store(result), self.database, versions=self._version_pins

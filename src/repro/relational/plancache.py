@@ -163,23 +163,14 @@ class PlanCache:
     # ------------------------------------------------------------------ #
     # lookup / store
     # ------------------------------------------------------------------ #
-    def get(self, key: str, database=None) -> CachedPlan | None:
-        """The cached entry for ``key`` (recording a hit or miss).
+    def claim(self, key: str, database=None) -> CachedPlan | None:
+        """The cached entry for ``key``, computing each key once across callers.
 
         With a ``database``, the entry's recorded dependency versions are
         checked against the stored relations' current
         :attr:`~repro.relational.relation.Relation.version` tokens; a stale
         entry (e.g. after an in-place ``Relation.append``, which fires no
         mutation hook) is dropped and reported as a miss.
-        """
-        with self._lock:
-            entry = self._lookup(key, database)
-            if entry is None:
-                self.stats.misses += 1
-            return entry
-
-    def claim(self, key: str, database=None) -> CachedPlan | None:
-        """:meth:`get`, computing each key once across concurrent callers.
 
         A hit returns the entry.  A miss returns ``None`` and marks ``key`` in
         flight: the caller computes it, stores it with :meth:`put` and must
@@ -189,8 +180,16 @@ class PlanCache:
         """
         while True:
             with self._lock:
-                entry = self._lookup(key, database)
+                entry = self._entries.get(key)
+                if entry is not None and database is not None:
+                    if not self._fresh(entry, database):
+                        del self._entries[key]
+                        self.stats.invalidations += 1
+                        entry = None
                 if entry is not None:
+                    self._entries.move_to_end(key)
+                    self.stats.hits += 1
+                    self.stats.operators_saved += entry.operator_count
                     return entry
                 pending = self._in_flight.get(key)
                 if pending is None:
@@ -207,20 +206,6 @@ class PlanCache:
             pending = self._in_flight.pop(key, None)
         if pending is not None:
             pending.release()
-
-    def _lookup(self, key: str, database) -> CachedPlan | None:
-        """The fresh entry for ``key``, counted as a hit; misses are the caller's."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        if database is not None and not self._fresh(entry, database):
-            del self._entries[key]
-            self.stats.invalidations += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        self.stats.operators_saved += entry.operator_count
-        return entry
 
     @staticmethod
     def _fresh(entry: CachedPlan, database) -> bool:
@@ -243,7 +228,7 @@ class PlanCache:
         """Store the result of ``node`` under ``key`` (evicting LRU if full).
 
         With a ``database``, the version token of every scanned base relation
-        is recorded so :meth:`get` can detect staleness.  ``versions`` lets
+        is recorded so :meth:`claim` can detect staleness.  ``versions`` lets
         the executor supply tokens captured *before* it read the data: if a
         concurrent write swapped the data mid-execution, the entry is
         recorded under the pre-write token and the next version-checked
@@ -283,7 +268,7 @@ class PlanCache:
     def stats_snapshot(self) -> dict:
         """A lock-guarded, point-in-time copy of the cache statistics.
 
-        :attr:`stats` is mutated under the cache lock (``get``/``put``/
+        :attr:`stats` is mutated under the cache lock (``claim``/``put``/
         ``apply_write``); reading its fields live from another thread can
         observe a torn update (hits incremented, operators_saved not yet).
         Sessions and reports read this snapshot instead.  ``entries`` is the

@@ -438,7 +438,7 @@ class TestPlanCachePatching:
         plan = Select(Scan("emp"), Equals(col("emp.dept"), 10))
         self._warm(db, cache, plan)
         db.append_rows("emp", [(4, 10), (5, 20)])
-        entry = cache.get(plan.canonical(), db)
+        entry = cache.claim(plan.canonical(), db)
         assert entry is not None, "patched entry must survive the version check"
         assert cache.stats.patches == 1
         # Byte-identical to a cold recompute on the post-write data.
@@ -453,7 +453,7 @@ class TestPlanCachePatching:
         plan = Project(Scan("emp"), [col("emp.dept")], distinct=True)
         self._warm(db, cache, plan)
         db.append_rows("emp", [(4, 10), (5, 20)])  # 10 and 20 already present
-        entry = cache.get(plan.canonical(), db)
+        entry = cache.claim(plan.canonical(), db)
         assert entry is not None
         cold = Executor(make_post_append_database()).execute(plan)
         assert entry.relation.rows == cold.rows
@@ -477,10 +477,10 @@ class TestPlanCachePatching:
         dept_plan = Select(Scan("dept"), Equals(col("dept.id"), 10))
         self._warm(db, cache, emp_plan)
         self._warm(db, cache, dept_plan)
-        dept_entry = cache.get(dept_plan.canonical(), db)
+        dept_entry = cache.claim(dept_plan.canonical(), db)
         db.update_rows("emp", [0], [(1, 30)])  # drops emp dependents only
         assert emp_plan.canonical() not in cache
-        surviving = cache.get(dept_plan.canonical(), db)
+        surviving = cache.claim(dept_plan.canonical(), db)
         assert surviving is not None
         assert surviving.relation is dept_entry.relation
 

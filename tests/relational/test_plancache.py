@@ -53,9 +53,10 @@ class TestPlanCacheBasics:
         cache = PlanCache(maxsize=4)
         plan = select_plan()
         key = plan.canonical()
-        assert cache.get(key) is None
+        assert cache.claim(key) is None
         cache.put(key, plan, result_relation())
-        entry = cache.get(key)
+        cache.release(key)
+        entry = cache.claim(key)
         assert entry is not None
         assert entry.relation.rows == [(1,), (2,)]
         assert entry.operator_count == 2
@@ -84,7 +85,7 @@ class TestEviction:
         for plan in plans[:2]:
             cache.put(plan.canonical(), plan, result_relation())
         # Touch the first entry so the second becomes least recently used.
-        assert cache.get(plans[0].canonical()) is not None
+        assert cache.claim(plans[0].canonical()) is not None
         cache.put(plans[2].canonical(), plans[2], result_relation())
         assert len(cache) == 2
         assert cache.stats.evictions == 1
@@ -161,9 +162,9 @@ class TestDatabaseHooks:
         cache = PlanCache()
         emp = select_plan("emp")
         cache.put(emp.canonical(), emp, result_relation(), database)
-        assert cache.get(emp.canonical(), database) is not None
+        assert cache.claim(emp.canonical(), database) is not None
         database.relation("emp").append((4, 10))
-        assert cache.get(emp.canonical(), database) is None
+        assert cache.claim(emp.canonical(), database) is None
         assert emp.canonical() not in cache
         assert cache.stats.invalidations == 1
 
@@ -340,7 +341,7 @@ class TestDistinctPatchingProperty:
                 db.update_rows("dept", [0], [(10, step)])
             else:
                 db.append_rows("emp", step)  # values overlap by construction
-        entry = cache.get(key, db)
+        entry = cache.claim(key, db)
         assert entry is not None, "append/unrelated-update schedule dropped entry"
         cold = Executor(self._fresh_database(db.relation("emp").rows)).execute(plan)
         assert entry.relation.columns == cold.columns
