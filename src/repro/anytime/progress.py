@@ -100,9 +100,11 @@ class AnytimeContinuation:
     once.
     """
 
-    def __init__(self, evaluator, database, trace, representative_mappings: int):
+    def __init__(self, evaluator, database, query, trace, representative_mappings: int):
         self.evaluator = evaluator
         self.database = database
+        #: the caller's query (the trace may grow a rewritten plan of it)
+        self.query = query
         self.trace = trace
         #: cumulative ExecutionStats across the initial drive and all resumes
         self.totals = ExecutionStats()
@@ -151,6 +153,6 @@ class AnytimeContinuation:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"AnytimeContinuation(query={self.trace.query.name!r}, "
+            f"AnytimeContinuation(query={self.query.name!r}, "
             f"pending={self.trace.pending_tasks})"
         )

@@ -129,8 +129,11 @@ class Evaluator(abc.ABC):
     optimizer (:mod:`repro.relational.optimizer`) before execution: predicate
     pushdown, Select+Product→Join conversion, projection pruning, constant
     folding, empty-relation short-circuit and cost-based join ordering.
-    Answers are byte-identical with the optimizer off — also asserted by the
-    differential harness — only the executed operator and row counts change.
+    Answers are the same with the optimizer off — also asserted by the
+    differential harness — only the executed operator and row counts change:
+    byte for byte for the whole-query evaluators, within the probability
+    tolerance for the u-trace ones, which also push the target plan's
+    selections below its products when optimizing.
     """
 
     #: human-readable algorithm name used in reports and figures

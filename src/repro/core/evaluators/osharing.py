@@ -52,12 +52,13 @@ from repro.core.answer import ProbabilisticAnswer
 from repro.core.evaluators.base import (
     PHASE_AGGREGATION,
     PHASE_ANYTIME,
+    PHASE_REWRITING,
     EvaluationResult,
     Evaluator,
 )
 from repro.core.links import SchemaLinks
 from repro.core.operator_selection import SelectionStrategy, make_strategy
-from repro.core.target_query import TargetQuery
+from repro.core.target_query import TargetQuery, push_selections
 from repro.core.utrace import (
     GroupTask,
     UTrace,
@@ -67,6 +68,7 @@ from repro.core.utrace import (
     top_k_final,
 )
 from repro.matching.mappings import MappingSet
+from repro.obs.trace import current_tracer
 from repro.relational.database import Database
 from repro.relational.executor import DEFAULT_ENGINE
 from repro.relational.stats import ExecutionStats
@@ -151,9 +153,10 @@ class UTraceEvaluator(Evaluator):
         database: Database,
     ) -> EvaluationResult:
         stats = ExecutionStats()
-        root = root_unit(query, mappings, stats)
+        target = self._target(query, stats)
+        root = root_unit(target, mappings, stats)
         trace = UTrace(
-            query, self.links, self.strategy, self.priority, prune_empty=self.prune_empty
+            target, self.links, self.strategy, self.priority, prune_empty=self.prune_empty
         )
         # Classifying/expanding the root executes no operator, so it always
         # happens — even under a zero budget the frontier is populated and
@@ -162,7 +165,9 @@ class UTraceEvaluator(Evaluator):
         if self.budget is not None:
             from repro.anytime.progress import AnytimeContinuation
 
-            continuation = AnytimeContinuation(self, database, trace, len(root.mappings))
+            continuation = AnytimeContinuation(
+                self, database, query, trace, len(root.mappings)
+            )
             return self._drive_budgeted(continuation, self.budget, stats)
         self._drive(trace, database, stats)
         with stats.phase(PHASE_AGGREGATION):
@@ -170,6 +175,26 @@ class UTraceEvaluator(Evaluator):
         return self._result(
             query, answers, stats, **self._details(trace, stats, len(root.mappings), intervals)
         )
+
+    def _target(self, query: TargetQuery, stats: ExecutionStats) -> TargetQuery:
+        """The plan the trace grows: selections pushed below products when optimizing.
+
+        The paper's plan (``optimize=False``) is traced as written.  A
+        changed plan is recorded as one ``target-rewrite`` event on the
+        ``phase:rewriting`` span of a traced call.
+        """
+        if not self.optimize:
+            return query
+        with stats.phase(PHASE_REWRITING):
+            target = push_selections(query)
+            tracer = current_tracer()
+            if tracer is not None and target is not query:
+                tracer.event(
+                    "target-rewrite",
+                    before=query.plan.canonical(),
+                    after=target.plan.canonical(),
+                )
+        return target
 
     def resume(self, continuation: AnytimeContinuation, budget: Budget) -> EvaluationResult:
         """One more drive over the saved frontier (no work is repeated).
@@ -258,7 +283,7 @@ class UTraceEvaluator(Evaluator):
         cumulative.merge(continuation.totals)
         return AnytimeResult(
             evaluator=self.name,
-            query=trace.query,
+            query=continuation.query,
             answers=answers,
             stats=cumulative,
             details=self._details(

@@ -21,10 +21,21 @@ ambiguous names.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.relational.algebra import Aggregate, Join, PlanNode, Project, Scan, Select, Union
+from repro.relational.algebra import (
+    Aggregate,
+    Join,
+    PlanNode,
+    Product,
+    Project,
+    Scan,
+    Select,
+    Union,
+    plan_scans,
+)
 from repro.relational.expressions import ColumnRef
 from repro.relational.schema import DatabaseSchema
 
@@ -295,6 +306,17 @@ class TargetQuery:
             ordered.append(self.resolve(ref))
         return ordered
 
+    def with_plan(self, plan: PlanNode) -> "TargetQuery":
+        """This query over an equivalent, already normalised plan on the same scans.
+
+        The copy keeps this query's scan aliases and referenced-attribute
+        order, so its output attributes, partition keys and answer columns
+        are this query's; only where the operators sit changes.
+        """
+        rewritten = copy.copy(self)
+        rewritten.plan = plan
+        return rewritten
+
     def describe(self) -> str:
         """A one-line description used by examples and benchmark output."""
         return f"{self.name}: {self.plan.canonical()}"
@@ -309,3 +331,70 @@ class TargetQuery:
 def target_attribute_names(attributes: Iterable[TargetAttribute]) -> list[str]:
     """Qualified names of a sequence of target attributes (order preserved)."""
     return [attribute.qualified for attribute in attributes]
+
+
+# --------------------------------------------------------------------------- #
+# selection pushdown below products (the u-trace's target plan)
+# --------------------------------------------------------------------------- #
+def push_selections(query: TargetQuery) -> TargetQuery:
+    """``query`` with each selection moved onto the product side it reads.
+
+    The u-trace runs a selection only once everything below it is a leaf,
+    so a selection above a product waits until the whole product is built.
+    For every chain of selections over a ``Product`` or ``Join`` this moves
+    each selection whose columns all belong to one side's scan aliases onto
+    that side, unchanged and in its original order, then recurses into both
+    sides.  When exactly one selection is left over a ``Product`` and it
+    reads both sides, the pair becomes a ``Join``.  Every selection stays
+    its own ``Select``: merging a chain into one conjunction would stop
+    mappings that agree on some of its attributes from sharing those
+    operators.
+
+    The result keeps the original query's referenced-attribute order
+    (:meth:`TargetQuery.with_plan`), so answers keep their column order.
+    ``query`` itself is returned when no selection moves.
+    """
+    plan = _push(query.plan)
+    if plan.canonical() == query.plan.canonical():
+        return query
+    return query.with_plan(plan)
+
+
+def _push(node: PlanNode) -> PlanNode:
+    selections: list[Select] = []
+    bottom = node
+    while isinstance(bottom, Select):
+        selections.append(bottom)
+        bottom = bottom.child
+    selections.reverse()  # innermost first, the order they apply in
+    if not selections or not isinstance(bottom, (Product, Join)):
+        children = bottom.children()
+        if children:
+            bottom = bottom.with_children([_push(child) for child in children])
+        return _stack(bottom, selections)
+
+    left_aliases = {scan.label for scan in plan_scans(bottom.left)}
+    right_aliases = {scan.label for scan in plan_scans(bottom.right)}
+    to_left: list[Select] = []
+    to_right: list[Select] = []
+    kept: list[Select] = []
+    for selection in selections:
+        aliases = {ref.qualifier for ref in selection.referenced_columns()}
+        if aliases and aliases <= left_aliases:
+            to_left.append(selection)
+        elif aliases and aliases <= right_aliases:
+            to_right.append(selection)
+        else:
+            kept.append(selection)
+    left = _push(_stack(bottom.left, to_left))
+    right = _push(_stack(bottom.right, to_right))
+    if isinstance(bottom, Product) and len(kept) == 1 and kept[0].referenced_columns():
+        return Join(left, right, kept[0].predicate)
+    return _stack(bottom.with_children([left, right]), kept)
+
+
+def _stack(node: PlanNode, selections: Sequence[Select]) -> PlanNode:
+    """``node`` under ``selections``, the first applied innermost."""
+    for selection in selections:
+        node = Select(node, selection.predicate)
+    return node

@@ -60,7 +60,7 @@ from repro.core.reformulation import (
 )
 from repro.core.target_query import TargetQuery
 from repro.matching.mappings import Mapping
-from repro.relational.algebra import Materialized, PlanNode, Scan
+from repro.relational.algebra import Materialized, PlanNode, Scan, provenance_of
 from repro.relational.executor import Executor
 from repro.relational.stats import ExecutionStats
 
@@ -184,9 +184,14 @@ class UTrace:
             with stats.phase(PHASE_AGGREGATION):
                 self.contributions.append((unit.path + (-1, task.index), None, task.mass))
             return False
+        # With an optimizer, a step over earlier steps' leaves is memoized by
+        # what computed them, so a later call plans it again only after a write.
+        provenance = None if executor.optimizer is None else provenance_of(source_plan)
         with stats.phase(PHASE_EVALUATION):
-            result = executor.execute(source_plan)
-        materialized = Materialized(result, label="u" + ".".join(map(str, unit.path)))
+            result = executor.execute(source_plan, provenance)
+        materialized = Materialized(
+            result, label="u" + ".".join(map(str, unit.path)), provenance=provenance
+        )
         if isinstance(candidate.operator, Scan):
             plan = unit.plan.replace(candidate.operator, materialized)
         else:

@@ -138,6 +138,34 @@ class Scan(PlanNode):
         return f"Scan({self.relation} AS {self.label})"
 
 
+@dataclass(frozen=True)
+class Provenance:
+    """What computed a materialised relation: a plan over base relations only.
+
+    ``key`` is the canonical form of the source plan that produced the
+    relation, with that plan's own materialised leaves written as their
+    provenance keys; ``relations`` names every base relation read on the
+    way.  Two leaves with one key hold the same rows as long as those
+    relations are unchanged.
+    """
+
+    key: str
+    relations: frozenset[str]
+
+
+def provenance_of(plan: PlanNode) -> Provenance | None:
+    """The provenance of ``plan``'s result, or ``None`` if a leaf has none."""
+    key = plan.canonical()
+    relations = {scan.relation for scan in plan_scans(plan)}
+    for node in plan.walk():
+        if isinstance(node, Materialized):
+            if node.provenance is None:
+                return None
+            key = key.replace(node.canonical(), f"<{node.provenance.key}>")
+            relations |= node.provenance.relations
+    return Provenance(key, frozenset(relations))
+
+
 class Materialized(PlanNode):
     """A leaf holding an already-computed intermediate :class:`Relation`.
 
@@ -145,12 +173,16 @@ class Materialized(PlanNode):
     share the result of a common sub-plan between several source queries.
     Identity (not content) distinguishes two materialised nodes, but the
     canonical form embeds a stable id so that fingerprints remain useful.
+    An optional :class:`Provenance` records what computed the relation.
     """
 
-    def __init__(self, relation: Relation, label: str = ""):
+    def __init__(
+        self, relation: Relation, label: str = "", provenance: Provenance | None = None
+    ):
         self.relation = relation
         self.label = label or relation.name or "intermediate"
         self.node_id = next(_MATERIALIZED_IDS)
+        self.provenance = provenance
 
     def children(self) -> tuple[PlanNode, ...]:
         return ()

@@ -58,6 +58,7 @@ from repro.relational.algebra import (
     PlanNode,
     Product,
     Project,
+    Provenance,
     Scan,
     Select,
     Union,
@@ -214,16 +215,20 @@ class Executor:
         self._version_pins: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
-    def execute(self, plan: PlanNode) -> Relation:
-        """Evaluate ``plan`` and return its result relation."""
+    def execute(self, plan: PlanNode, provenance: Provenance | None = None) -> Relation:
+        """Evaluate ``plan`` and return its result relation.
+
+        ``provenance`` (of a plan over materialised leaves) is handed to the
+        optimizer's memo; see :meth:`Optimizer.optimize_with_report`.
+        """
         self._scan_pins = {}
         self._version_pins = {}
         if self.optimizer is not None:
             if self.tracer is not None:
                 with self.tracer.span("optimize", engine=self.engine):
-                    plan = self.optimizer.optimize(plan, self.stats)
+                    plan = self.optimizer.optimize(plan, self.stats, provenance)
             else:
-                plan = self.optimizer.optimize(plan, self.stats)
+                plan = self.optimizer.optimize(plan, self.stats, provenance)
         if self.engine in _BATCH_ENGINES:
             return self._evaluate_columnar(plan).to_relation()
         return self._evaluate(plan)

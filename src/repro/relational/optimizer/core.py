@@ -20,7 +20,7 @@ import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 
-from repro.relational.algebra import Materialized, PlanNode, plan_scans
+from repro.relational.algebra import Materialized, PlanNode, Provenance, plan_scans
 from repro.relational.optimizer.analysis import PlanAnnotator
 from repro.relational.optimizer.ordering import reorder_joins
 from repro.relational.optimizer.rules import (
@@ -100,9 +100,14 @@ class Optimizer:
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
-    def optimize(self, plan: PlanNode, stats: ExecutionStats | None = None) -> PlanNode:
+    def optimize(
+        self,
+        plan: PlanNode,
+        stats: ExecutionStats | None = None,
+        provenance: Provenance | None = None,
+    ) -> PlanNode:
         """The optimized plan for ``plan`` (recording counters into ``stats``)."""
-        report = self.optimize_with_report(plan)
+        report = self.optimize_with_report(plan, provenance)
         if stats is not None:
             stats.count_optimization(
                 rules=None if report.memo_hit else report.rules,
@@ -112,25 +117,44 @@ class Optimizer:
             )
         return report.plan
 
-    def optimize_with_report(self, plan: PlanNode) -> OptimizationReport:
-        """Optimize ``plan`` and return the full :class:`OptimizationReport`."""
+    def optimize_with_report(
+        self, plan: PlanNode, provenance: Provenance | None = None
+    ) -> OptimizationReport:
+        """Optimize ``plan`` and return the full :class:`OptimizationReport`.
+
+        ``provenance`` (``provenance_of(plan)``, from a caller whose
+        materialised leaves carry theirs) keys the memo by what computed
+        the leaves instead of by their identity, so a plan over freshly
+        computed leaves of the same provenance is planned once.
+        """
         if self._is_trivial(plan):
             # o-sharing executes thousands of single-operator plans over
-            # Materialized leaves, whose unique node ids defeat the memo; no
-            # rewrite rule can improve such a plan, so skip the pipeline
-            # (and the memo) entirely.
+            # Materialized leaves; no rewrite rule can improve such a plan,
+            # so skip the pipeline (and the memo) entirely.
             return OptimizationReport(plan=plan)
-        key = plan.canonical()
+        leaves: list[Materialized] = []
+        if provenance is None:
+            key, relations = plan.canonical(), frozenset()
+        else:
+            key, relations = provenance.key, provenance.relations
+            leaves = [node for node in plan.walk() if isinstance(node, Materialized)]
         with self._lock:
             cached = self._memo.get(key)
             if cached is not None:
                 if self._fresh(cached):
                     self._memo.move_to_end(key)
+                    if leaves:
+                        return replace(cached, plan=_fill(cached.plan, leaves), memo_hit=True)
                     return replace(cached, memo_hit=True)
                 del self._memo[key]
-        report = self._run_pipeline(plan)
+        report = self._run_pipeline(plan, relations)
+        memoized = report
+        if leaves:
+            # Memoize a template: the next call's leaves hold the same rows
+            # and go in their place, and this call's stay unpinned.
+            memoized = replace(report, plan=_template(report.plan, leaves))
         with self._lock:
-            self._memo[key] = report
+            self._memo[key] = memoized
             while len(self._memo) > self.memo_size:
                 self._memo.popitem(last=False)
         return report
@@ -167,11 +191,11 @@ class Optimizer:
                 return False
         return True
 
-    def _dependencies(self, plan: PlanNode) -> dict[str, int]:
-        return self.catalog.versions({scan.relation for scan in plan_scans(plan)})
+    def _dependencies(self, plan: PlanNode, relations: frozenset[str]) -> dict[str, int]:
+        return self.catalog.versions({scan.relation for scan in plan_scans(plan)} | relations)
 
-    def _run_pipeline(self, plan: PlanNode) -> OptimizationReport:
-        dependencies = self._dependencies(plan)
+    def _run_pipeline(self, plan: PlanNode, relations: frozenset[str]) -> OptimizationReport:
+        dependencies = self._dependencies(plan, relations)
         ctx = RewriteContext(
             PlanAnnotator(self.database, self.catalog, self._scan_cache)
         )
@@ -211,3 +235,37 @@ class Optimizer:
             plan = reorder_joins(plan, ctx)
         plan = prune_projections(plan, ctx)
         return plan
+
+
+# --------------------------------------------------------------------------- #
+# memo templates for plans over materialised leaves
+# --------------------------------------------------------------------------- #
+class _Slot(PlanNode):
+    """The ``index``-th materialised leaf of the plan a template was optimized from."""
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def children(self) -> tuple[PlanNode, ...]:
+        return ()
+
+    def with_children(self, children) -> PlanNode:
+        return self
+
+    def canonical(self) -> str:
+        return f"Slot({self.index})"
+
+
+def _template(plan: PlanNode, leaves: list[Materialized]) -> PlanNode:
+    """``plan`` with every leaf of ``leaves`` replaced by its slot."""
+    slots = {id(leaf): index for index, leaf in enumerate(leaves)}
+    return plan.transform(
+        lambda node: _Slot(slots[id(node)]) if id(node) in slots else node
+    )
+
+
+def _fill(template: PlanNode, leaves: list[Materialized]) -> PlanNode:
+    """The plan a template stands for, over this call's ``leaves``."""
+    return template.transform(
+        lambda node: leaves[node.index] if isinstance(node, _Slot) else node
+    )

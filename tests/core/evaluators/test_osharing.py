@@ -149,3 +149,22 @@ class TestSharingBehaviour:
     def test_invalid_strategy_rejected(self, paper_example):
         with pytest.raises(KeyError):
             OSharingEvaluator(links=paper_example.links, strategy="optimal")
+
+
+class TestWarmSteps:
+    def test_warm_call_replans_no_step(self, paragon_scenario):
+        # Pushed Q10's Product step reads an intermediate of the previous
+        # step; the optimizer memo knows it by what computed it, so a warm
+        # call considers no join order at all.
+        from repro import connect
+        from repro.workloads import paper_query
+
+        query = paper_query("Q10", paragon_scenario.target_schema)
+        with connect(paragon_scenario) as session:
+            cold = session.query(query)
+            warm = session.query(query)
+        assert cold.stats.join_orders_considered > 0
+        assert warm.stats.join_orders_considered == 0
+        assert warm.stats.optimizer_memo_hits > cold.stats.optimizer_memo_hits
+        assert warm.answers.equals(cold.answers)
+        assert list(warm.answers.items()) == list(cold.answers.items())

@@ -353,19 +353,28 @@ class TestTopKAgainstFullRanking:
             assert set(result.answers.tuples) == {answer.values for answer in expected}
 
     def test_prunable_scenario_expands_strictly_fewer_eunits(self, excel_scenario):
-        # Q3 at k=1: the first partitions already decide the winner, so the
+        # Q3 at k=1 on the paper's plan (optimize=False, selections above the
+        # products): the first partitions already decide the winner, so the
         # bound check must cut the traversal short (strictly fewer e-units
         # than o-sharing's exhaustive expansion), not merely tie it.
         query = paper_query("Q3", excel_scenario.target_schema)
-        exact = OSharingEvaluator(links=excel_scenario.links).evaluate(
-            query, excel_scenario.mappings, excel_scenario.database
-        )
-        result = TopKEvaluator(k=1, links=excel_scenario.links).evaluate(
-            query, excel_scenario.mappings, excel_scenario.database
-        )
+        run = (query, excel_scenario.mappings, excel_scenario.database)
+        options = dict(links=excel_scenario.links, optimize=False)
+        exact = OSharingEvaluator(**options).evaluate(*run)
+        result = TopKEvaluator(k=1, **options).evaluate(*run)
         assert result.details["stopped_early"]
         assert result.details["units_created"] < exact.details["units_created"]
         assert result.stats.source_operators < exact.stats.source_operators
+
+    def test_default_topk_creates_no_more_units_than_exact(self, excel_scenario):
+        # With the optimizer on, the selections run below the products and
+        # exact o-sharing's trace is already smaller than the paper plan's
+        # top-1 prefix; top-1 must still never expand more of it.
+        query = paper_query("Q3", excel_scenario.target_schema)
+        run = (query, excel_scenario.mappings, excel_scenario.database)
+        exact = OSharingEvaluator(links=excel_scenario.links).evaluate(*run)
+        result = TopKEvaluator(k=1, links=excel_scenario.links).evaluate(*run)
+        assert result.details["units_created"] <= exact.details["units_created"]
 
     @pytest.mark.parametrize("query_id", ["Q1", "Q4"])
     def test_empty_leaves_count_as_pruned_like_osharing(self, excel_scenario, query_id):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.relational.algebra import Product, Scan, Select
+from repro.relational.algebra import Materialized, Product, Scan, Select, provenance_of
 from repro.relational.database import Database
 from repro.relational.executor import Executor, available_engines
 
@@ -91,6 +91,56 @@ class TestOptimizerMemo:
                 Select(Scan("emp"), Equals(col("emp.dept"), value))
             )
         assert len(optimizer) == 2
+
+    @staticmethod
+    def _over_leaf(leaf):
+        return Select(
+            Product(leaf, Scan("dept")), ColumnEquals(col("emp.dept"), col("dept.id"))
+        )
+
+    @staticmethod
+    def _optimize(optimizer, plan):
+        return optimizer.optimize_with_report(plan, provenance_of(plan))
+
+    @staticmethod
+    def _leaf(database, provenance):
+        return Materialized(database.relation("emp"), label="u0", provenance=provenance)
+
+    def test_materialized_leaves_hit_by_provenance(self, database):
+        # Two leaves computed by one source plan hold the same rows: the
+        # second plan is served from the memo, over its own leaf.
+        optimizer = Optimizer(database)
+        made_by = provenance_of(Scan("emp"))
+        first_leaf, second_leaf = self._leaf(database, made_by), self._leaf(database, made_by)
+        first = self._optimize(optimizer, self._over_leaf(first_leaf))
+        second = self._optimize(optimizer, self._over_leaf(second_leaf))
+        assert not first.memo_hit and second.memo_hit
+        assert second.plan.canonical() == first.plan.canonical().replace(
+            first_leaf.canonical(), second_leaf.canonical()
+        )
+        assert any(node is second_leaf for node in second.plan.walk())
+        # the memo keeps a template, not the first call's intermediate
+        assert not any(
+            node is first_leaf for report in optimizer._memo.values() for node in report.plan.walk()
+        )
+        result = Executor(database).execute(second.plan)
+        assert result.rows == Executor(database).execute(first.plan).rows
+
+    def test_materialized_leaves_without_provenance_never_hit(self, database):
+        optimizer = Optimizer(database)
+        optimizer.optimize_with_report(self._over_leaf(self._leaf(database, None)))
+        report = optimizer.optimize_with_report(self._over_leaf(self._leaf(database, None)))
+        assert not report.memo_hit
+
+    def test_write_to_a_leafs_source_misses(self, database):
+        # ``emp`` is read only through the leaf, yet writing it retires the entry.
+        optimizer = Optimizer(database)
+        made_by = provenance_of(Scan("emp"))
+        self._optimize(optimizer, self._over_leaf(self._leaf(database, made_by)))
+        schema = database.schema.relation("emp")
+        database.set_relation("emp", Relation.from_schema(schema, [(9, "zed", 20)]))
+        report = self._optimize(optimizer, self._over_leaf(self._leaf(database, made_by)))
+        assert not report.memo_hit
 
     def test_unknown_relation_survives(self, database):
         # A plan over a missing relation cannot be optimized, but the

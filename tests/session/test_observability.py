@@ -5,7 +5,8 @@ surface:
 
 * ``policy.trace=True`` gives the session a :class:`~repro.obs.Tracer` whose
   root spans mirror the serving calls (``session.query`` →
-  ``phase:*`` → ``optimize`` → ``op:*`` with rows and plan-cache events);
+  ``phase:*`` → ``optimize`` → ``op:*`` with rows and plan-cache events;
+  a u-trace's rewritten target plan as a ``target-rewrite`` event);
 * ``session.metrics()`` is a :class:`~repro.obs.metrics.MetricsSnapshot`
   of the session registry (per-stage latency histograms, cache hit/patch
   counters, pool queue depth — the counter series read through to the
@@ -115,6 +116,36 @@ class TestSessionTracing:
             s.query(example.q0())
             root = s.tracer.roots[0]
         assert root.find("optimize") is not None
+
+    def test_target_rewrite_event_on_the_rewriting_phase(self, example):
+        from repro.core.target_query import push_selections
+        from repro.relational.algebra import Product, Scan, Select
+        from repro.relational.expressions import col
+        from repro.relational.predicates import Equals
+
+        pushable = example.query(
+            Select(Product(Scan("Person"), Scan("Order")), Equals(col("Person.addr"), "hk"))
+        )
+
+        def rewrites(root):
+            return [
+                (span.name, event)
+                for span in root.walk()
+                for event in span.events
+                if event["name"] == "target-rewrite"
+            ]
+
+        with _session(example, trace=True) as s:
+            s.query(pushable)
+            s.query(example.q0())  # no selection over a product: nothing moves
+            s.query(pushable, optimize=False)  # the paper's plan is traced as written
+            pushed, unchanged, paper = s.tracer.roots
+        ((home, event),) = rewrites(pushed)
+        assert home == "phase:rewriting"
+        assert event["before"] == pushable.plan.canonical()
+        assert event["after"] == push_selections(pushable).plan.canonical()
+        assert event["after"] != event["before"]
+        assert rewrites(unchanged) == rewrites(paper) == []
 
     def test_workload_root_span(self, example):
         with _session(example, trace=True) as s:
